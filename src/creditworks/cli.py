@@ -97,7 +97,7 @@ def _run_pipeline(cfg: dict, base: Path) -> _Pipeline:
     if "input" not in cfg:
         raise UsageError("config must name an input CSV under the 'input' key")
     seed = cfg.get("seed")
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise UsageError("config must pin an integer 'seed'; runs may not self-seed")
 
     if cfg.get("column_spec"):
@@ -157,19 +157,26 @@ def _load_model(path: Path):
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"model {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"model {path} must hold a JSON object, not a {type(payload).__name__}")
     kind = payload.get("kind")
-    if kind == "logreg":
-        model = logreg.LogregModel.from_json_dict(payload)
-        scaler = (
-            features.Scaler.from_json_dict(payload["scaler"])
-            if "scaler" in payload
-            else None
-        )
-        return kind, model, scaler
-    if kind == "forest":
-        return kind, forest.forest_from_json_dict(payload), None
+    try:
+        if kind == "logreg":
+            model = logreg.LogregModel.from_json_dict(payload)
+            scaler = (
+                features.Scaler.from_json_dict(payload["scaler"])
+                if "scaler" in payload
+                else None
+            )
+            return kind, model, scaler
+        if kind == "forest":
+            return kind, forest.forest_from_json_dict(payload), None
+    except KeyError as exc:
+        raise DataError(f"model {path} lacks the field {exc}") from exc
+    except (TypeError, ValueError, DataError, TrainingError) as exc:
+        raise DataError(f"model {path} is unusable: {exc}") from exc
     raise DataError(f"model {path} has unknown kind {kind!r}")
 
 
@@ -313,6 +320,17 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path | None) -> i
     rep = metrics.report(test.y, y_pred)
     curve = metrics.roc(test.y, pd_scores)
 
+    # Read before writing anything, so a bad file leaves no partial output.
+    comparison_path = out / "comparison.json"
+    comparison = {}
+    if comparison_path.exists():
+        try:
+            comparison = json.loads(comparison_path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{comparison_path} is not valid JSON: {exc}") from exc
+        if not isinstance(comparison, dict):
+            raise DataError(f"{comparison_path} must hold a JSON object")
+
     (out / "report.txt").write_text(metrics.render_report(rep), encoding="utf-8")
     _write_json(
         out / "report.json",
@@ -320,10 +338,6 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path | None) -> i
     )
     _write_csv(out / "roc.csv", ["fpr", "tpr"], [(fpr, tpr) for fpr, tpr in curve.points])
 
-    comparison_path = out / "comparison.json"
-    comparison = {}
-    if comparison_path.exists():
-        comparison = json.loads(comparison_path.read_text(encoding="utf-8"))
     comparison[kind] = curve.auc
     _write_json(comparison_path, comparison)
 

@@ -84,6 +84,37 @@ def information_gain(parent, left, right, criterion: str = "gini") -> float:
     return max(0.0, float(gain))
 
 
+def _best_cut(sv, sy, criterion):
+    """Highest-gain cut over presorted candidate features.
+
+    sv and sy are (k, n): row r holds one feature's values over a node's n
+    samples in ascending order, and the samples' labels in that order. A
+    cut between sorted positions p and p + 1 is a candidate where the two
+    values differ. Ties break toward the lowest row, then the lowest
+    position. Returns (row, position, gain), or None without a candidate.
+    """
+    # Row-major order, so the first argmax below is the tie-break winner.
+    rows, pos = np.nonzero(sv[:, :-1] < sv[:, 1:])
+    if rows.size == 0:
+        return None
+    n = sv.shape[1]
+    prefix1 = np.cumsum(sy, axis=1)
+    n1p = int(prefix1[0, -1])
+    nl = (pos + 1).astype(np.float64)
+    nl1 = prefix1[rows, pos].astype(np.float64)
+    nl0 = nl - nl1
+    nr = n - nl
+    nr1 = n1p - nl1
+    nr0 = nr - nr1
+    gains = (
+        _impurity_from_counts(n - n1p, n1p, criterion)
+        - (nl / n) * _impurity_from_counts(nl0, nl1, criterion)
+        - (nr / n) * _impurity_from_counts(nr0, nr1, criterion)
+    )
+    b = int(np.argmax(gains))
+    return int(rows[b]), int(pos[b]), float(gains[b])
+
+
 def best_split(x, y, rows=None, features=None, criterion: str = "gini"):
     """Exhaustive search for the highest-gain (feature, threshold) cut.
 
@@ -97,48 +128,19 @@ def best_split(x, y, rows=None, features=None, criterion: str = "gini"):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-    n = int(rows.size)
-    if n < 2:
+    if rows.size < 2:
         return None
     feats = range(x.shape[1]) if features is None else sorted(int(f) for f in set(features))
+    feats = np.asarray(feats, dtype=np.intp)
 
-    yr = y[rows].astype(np.int64)
-    n1p = int(yr.sum())
-    n0p = n - n1p
-    parent_imp = _impurity_from_counts(n0p, n1p, criterion)
-
-    best = None
-    for j in feats:
-        v = x[rows, j]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = yr[order]
-        cut = np.nonzero(sv[:-1] < sv[1:])[0]
-        if cut.size == 0:
-            continue
-        prefix1 = np.cumsum(sy)
-        nl = (cut + 1).astype(np.float64)
-        nl1 = prefix1[cut].astype(np.float64)
-        nl0 = nl - nl1
-        nr = n - nl
-        nr1 = n1p - nl1
-        nr0 = nr - nr1
-        gains = (
-            parent_imp
-            - (nl / n) * _impurity_from_counts(nl0, nl1, criterion)
-            - (nr / n) * _impurity_from_counts(nr0, nr1, criterion)
-        )
-        # Thresholds ascend with the cut position, so the first argmax is
-        # already the lowest-threshold winner within this feature.
-        k = int(np.argmax(gains))
-        g = float(gains[k])
-        if best is None or g > best[0]:
-            threshold = float((sv[cut[k]] + sv[cut[k] + 1]) / 2.0)
-            best = (g, j, threshold)
-
-    if best is None:
+    values = x[np.ix_(rows, feats)].T
+    order = np.argsort(values, axis=1, kind="stable")
+    sv = np.take_along_axis(values, order, axis=1)
+    found = _best_cut(sv, y[rows].astype(np.int64)[order], criterion)
+    if found is None:
         return None
-    return best[1], best[2], max(0.0, best[0])
+    r, p, gain = found
+    return int(feats[r]), float((sv[r, p] + sv[r, p + 1]) / 2.0), max(0.0, gain)
 
 
 @dataclass(frozen=True)
@@ -162,34 +164,53 @@ class CartParams:
             raise TrainingError(f"feature_subsample must be None, 'auto' or a count, got {fs!r}")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One CART node; a leaf iff left is None. Leaves carry class counts."""
-
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    count0: int = 0
-    count1: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def probability(self) -> float:
-        total = self.count0 + self.count1
-        if total < 1:
-            raise DataError("probability is defined on leaves only")
-        return self.count1 / total
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "count0", "count1")
 
 
-@dataclass(frozen=True)
+def _dtype(name: str):
+    return np.float64 if name == "threshold" else np.intp
+
+
+@dataclass(frozen=True, eq=False)
 class CartTree:
-    root: TreeNode
+    """One tree as parallel arrays over its nodes, numbered in preorder.
+
+    Node i is a leaf iff feature[i] == -1. Otherwise a row continues at
+    left[i] when x[feature[i]] <= threshold[i] and at right[i] if not.
+    count0 and count1 are the node's training samples per class; a leaf
+    predicts count1 / (count0 + count1). Construction checks that the
+    arrays form one tree whose children come after their parent, which
+    bounds every walk, so arrays read from a file are safe to predict with.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    count0: np.ndarray
+    count1: np.ndarray
     params: CartParams
     n_features: int
+
+    def __post_init__(self):
+        sizes = {name: len(getattr(self, name)) for name in TREE_ARRAYS}
+        n = sizes["feature"]
+        if n < 1 or len(set(sizes.values())) != 1:
+            raise DataError(f"tree arrays must be non-empty and of equal length, got {sizes}")
+        feature = self.feature
+        if feature.min() < -1 or feature.max() >= self.n_features:
+            raise DataError(f"tree feature index outside [-1, {self.n_features})")
+        inner = np.flatnonzero(feature >= 0)
+        children = np.concatenate([self.left[inner], self.right[inner]])
+        if np.any(children <= np.concatenate([inner, inner])) or np.any(children >= n):
+            raise DataError("tree child index must exceed its parent's and lie inside the arrays")
+        if not np.array_equal(np.sort(children), np.arange(1, n)):
+            raise DataError("every tree node but the root must be the child of exactly one node")
+        if self.count0.min() < 0 or self.count1.min() < 0:
+            raise DataError("tree class counts must be non-negative")
+        leaf = feature < 0
+        if np.any(self.count0[leaf] + self.count1[leaf] < 1):
+            raise DataError("every tree leaf must hold at least one training sample")
 
     def predict_proba(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -199,32 +220,34 @@ class CartTree:
             raise DataError(
                 f"tree was grown on {self.n_features} features, input has {x.shape[1]}"
             )
-        out = np.empty(x.shape[0], dtype=np.float64)
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.probability
-        return out
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        rows = np.arange(x.shape[0])
+        # One pass per tree level: rows still at an inner node step to a child.
+        while rows.size:
+            at = node[rows]
+            f = self.feature[at]
+            inner = f >= 0
+            rows, at, f = rows[inner], at[inner], f[inner]
+            node[rows] = np.where(
+                x[rows, f] <= self.threshold[at], self.left[at], self.right[at]
+            )
+        return self.count1[node] / (self.count0[node] + self.count1[node])
 
     def classify(self, x, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(x) >= threshold).astype(np.int64)
 
     def stats(self) -> dict:
-        """Node count, leaf count and depth, by explicit-stack traversal."""
-        nodes = leaves = 0
+        """Node count, leaf count and depth."""
         depth = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            nodes += 1
-            depth = max(depth, d)
-            if node.is_leaf:
-                leaves += 1
-            else:
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-        return {"nodes": nodes, "leaves": leaves, "depth": depth}
+        level = np.zeros(1, dtype=np.intp)
+        while True:
+            level = level[self.feature[level] >= 0]
+            if level.size == 0:
+                break
+            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+        leaves = int(np.count_nonzero(self.feature < 0))
+        return {"nodes": int(self.feature.size), "leaves": leaves, "depth": depth}
 
 
 def _resolve_subsample(params: CartParams, n_cols: int) -> int:
@@ -237,13 +260,17 @@ def _resolve_subsample(params: CartParams, n_cols: int) -> int:
 
 
 def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> CartTree:
-    """Grow one tree by recursive impurity-minimizing splits.
+    """Grow one tree by impurity-minimizing splits, depth first.
 
     A node becomes a leaf when it is pure, smaller than min_samples_split,
     at max_depth, or when no candidate threshold exists. With feature
-    subsampling active, each node draws its feature subset from rng in
-    preorder (node, then left subtree, then right subtree), which pins the
-    tree for a given generator state.
+    subsampling active, each node that passes those checks draws its
+    feature subset from rng in preorder (node, then left subtree, then
+    right subtree), which pins the tree for a given generator state.
+
+    Every feature is sorted once over rows, stably, so equal values keep
+    their order in rows. A split partitions each feature's sorted order
+    stably into the children's, so no node sorts again (CART presorting).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -264,30 +291,63 @@ def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> Ca
     if rows.size == 0:
         raise TrainingError("cannot fit on an empty row subset")
 
-    def build(subset, depth):
-        n1 = int(y[subset].sum())
-        n0 = int(subset.size) - n1
+    # Samples are positions in rows. order[j] lists a node's samples by
+    # ascending feature j; without features one row still tracks membership.
+    xt = np.ascontiguousarray(x[rows].T)
+    ys = y[rows]
+    order = np.argsort(xt, axis=1, kind="stable") if n_cols else np.arange(rows.size)[None]
+    goes_left = np.empty(rows.size, dtype=bool)
+    every_feature = np.arange(n_cols)
+
+    arrays = {name: [] for name in TREE_ARRAYS}
+    feature, threshold = arrays["feature"], arrays["threshold"]
+    # (sorted samples, depth, node whose right child this is or -1). In
+    # preorder a left child is numbered right after its parent.
+    stack = [(order, 0, -1)]
+    while stack:
+        idx, depth, right_of = stack.pop()
+        node = len(feature)
+        if right_of >= 0:
+            arrays["right"][right_of] = node
+        n = idx.shape[1]
+        n1 = int(ys[idx[0]].sum())
+        n0 = n - n1
+        for name, value in zip(TREE_ARRAYS, (-1, 0.0, -1, -1, n0, n1)):
+            arrays[name].append(value)
         if (
             n0 == 0
             or n1 == 0
-            or subset.size < params.min_samples_split
+            or n < params.min_samples_split
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
-            return TreeNode(count0=n0, count1=n1)
-        feats = np.sort(rng.choice(n_cols, size=k, replace=False)) if k < n_cols else None
-        found = best_split(x, y, subset, feats, params.criterion)
+            continue
+        feats = np.sort(rng.choice(n_cols, size=k, replace=False)) if k < n_cols else every_feature
+        sub = idx[feats]
+        sv = xt[feats[:, None], sub]
+        found = _best_cut(sv, ys[sub], params.criterion)
         if found is None:
-            return TreeNode(count0=n0, count1=n1)
-        feature, threshold, _ = found
-        mask = x[subset, feature] <= threshold
-        return TreeNode(
-            feature=feature,
-            threshold=threshold,
-            left=build(subset[mask], depth + 1),
-            right=build(subset[~mask], depth + 1),
-        )
+            continue
+        r, p, _ = found
+        cut = (sv[r, p] + sv[r, p + 1]) / 2.0
+        n_left = int(np.searchsorted(sv[r], cut, side="right"))
+        if n_left == n:
+            # The midpoint rounded onto the upper value (adjacent floats), so
+            # "<=" keeps every sample on the left: the cut separates nothing.
+            continue
+        goes_left[sub[r, :n_left]] = True
+        goes_left[sub[r, n_left:]] = False
+        mask = goes_left[idx]
+        feature[node] = int(feats[r])
+        threshold[node] = float(cut)
+        arrays["left"][node] = node + 1
+        stack.append((idx[~mask].reshape(len(idx), n - n_left), depth + 1, node))
+        stack.append((idx[mask].reshape(len(idx), n_left), depth + 1, -1))
 
-    return CartTree(root=build(rows, 0), params=params, n_features=n_cols)
+    return CartTree(
+        **{name: np.asarray(arrays[name], dtype=_dtype(name)) for name in TREE_ARRAYS},
+        params=params,
+        n_features=n_cols,
+    )
 
 
 @dataclass(frozen=True)
@@ -356,36 +416,14 @@ def predict_proba_forest(forest: Forest, x):
     return float(probs[0]) if single else probs
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {
-            "count0": node.count0,
-            "count1": node.count1,
-            "probability": node.probability,
-        }
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(payload: dict) -> TreeNode:
-    if "feature" in payload:
-        return TreeNode(
-            feature=int(payload["feature"]),
-            threshold=float(payload["threshold"]),
-            left=_node_from_dict(payload["left"]),
-            right=_node_from_dict(payload["right"]),
-        )
-    return TreeNode(count0=int(payload["count0"]), count1=int(payload["count1"]))
+FOREST_FORMAT = "cart-arrays-1"
 
 
 def forest_to_json_dict(forest: Forest) -> dict:
     params = forest.trees[0].params
     return {
         "kind": "forest",
+        "format": FOREST_FORMAT,
         "columns": list(forest.columns),
         "seed": forest.seed,
         "bootstrap": forest.bootstrap,
@@ -397,17 +435,44 @@ def forest_to_json_dict(forest: Forest) -> dict:
             "min_samples_split": params.min_samples_split,
             "feature_subsample": params.feature_subsample,
         },
-        "trees": [_node_to_dict(tree.root) for tree in forest.trees],
+        "trees": [
+            {name: getattr(tree, name).tolist() for name in TREE_ARRAYS}
+            for tree in forest.trees
+        ],
     }
 
 
+def _tree_array(tree: dict, name: str) -> np.ndarray:
+    values = np.asarray(tree[name])
+    kinds = "if" if name == "threshold" else "i"
+    if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
+        what = "numbers" if name == "threshold" else "integers"
+        raise DataError(f"tree array {name!r} must be a list of {what}")
+    return values.astype(_dtype(name))
+
+
 def forest_from_json_dict(payload: dict) -> Forest:
+    """Rebuild the forest that forest_to_json_dict wrote.
+
+    Any other format, including the nested-node layout of older versions,
+    raises DataError: such models must be retrained. So do tree arrays that
+    do not form a tree (see CartTree).
+    """
     if payload.get("kind") != "forest":
         raise DataError(f"payload kind {payload.get('kind')!r} is not a forest model")
+    if payload.get("format") != FOREST_FORMAT:
+        raise DataError(
+            f"forest model format {payload.get('format')!r} is not {FOREST_FORMAT!r}; "
+            "retrain the model"
+        )
     params = CartParams(**payload["params"])
     n_features = int(payload["n_features"])
     trees = tuple(
-        CartTree(root=_node_from_dict(t), params=params, n_features=n_features)
+        CartTree(
+            **{name: _tree_array(t, name) for name in TREE_ARRAYS},
+            params=params,
+            n_features=n_features,
+        )
         for t in payload["trees"]
     )
     if not trees:

@@ -291,3 +291,108 @@ def test_out_flag_overrides_config_dir(workdir):
     ]) == 0
     assert (elsewhere / "summary.json").exists()
     assert not (workdir / "out").exists()
+
+
+def _set(name, index, value):
+    """Edit a forest model: trees[0][name][index] = value, value a function of the model."""
+
+    def edit(model):
+        model["trees"][0][name][index] = value(model)
+        return model
+
+    return edit
+
+
+def _without(*keys):
+    return lambda model: {k: v for k, v in model.items() if k not in keys}
+
+
+def _drop_last_threshold(model):
+    model["trees"][0]["threshold"].pop()
+    return model
+
+
+def _empty_first_leaf(model):
+    tree = model["trees"][0]
+    leaf = tree["feature"].index(-1)
+    tree["count0"][leaf] = tree["count1"][leaf] = 0
+    return model
+
+
+def _child_before_parent(model):
+    # A well-formed tree, except that node 3 is the parent of nodes 1 and 2.
+    model["trees"][0] = {
+        "feature": [0, -1, -1, 0, -1],
+        "threshold": [0.5, 0.0, 0.0, 0.25, 0.0],
+        "left": [3, -1, -1, 1, -1],
+        "right": [4, -1, -1, 2, -1],
+        "count0": [2, 1, 0, 1, 1],
+        "count1": [1, 0, 1, 1, 0],
+    }
+    return model
+
+
+NESTED_TREE = {
+    "feature": 0,
+    "threshold": 0.5,
+    "left": {"count0": 1, "count1": 0, "probability": 0.0},
+    "right": {"count0": 0, "count1": 1, "probability": 1.0},
+}
+
+# Each maps a trained forest's model.json to a defective one, and names a
+# fragment of the message that must report it.
+FOREST_MODEL_DEFECTS = {
+    "json_list": (lambda model: [model], "must hold a JSON object"),
+    "kind_only": (lambda model: {"kind": "forest"}, "retrain"),
+    "missing_params": (_without("params"), "lacks the field 'params'"),
+    "missing_format": (_without("format"), "retrain"),
+    "unknown_format": (lambda model: {**model, "format": "cart-arrays-0"}, "retrain"),
+    "nested_layout": (
+        lambda model: {**_without("format")(model), "trees": [NESTED_TREE]},
+        "retrain",
+    ),
+    "unequal_lengths": (_drop_last_threshold, "equal length"),
+    "child_before_parent": (_child_before_parent, "exceed its parent"),
+    "child_outside_arrays": (
+        _set("right", 0, lambda m: len(m["trees"][0]["feature"])),
+        "inside the arrays",
+    ),
+    "two_parents": (_set("right", 0, lambda m: m["trees"][0]["left"][0]), "exactly one node"),
+    "feature_too_large": (_set("feature", 0, lambda m: m["n_features"]), "feature index outside"),
+    "feature_below_leaf_mark": (_set("feature", 0, lambda m: -2), "feature index outside"),
+    "fractional_feature": (_set("feature", 0, lambda m: 0.5), "list of integers"),
+    "negative_count": (_set("count0", 0, lambda m: -1), "non-negative"),
+    "empty_leaf": (_empty_first_leaf, "at least one training sample"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FOREST_MODEL_DEFECTS))
+def test_score_rejects_defective_forest_model(tmp_path, capsys, defect):
+    write_loans_csv(tmp_path / "loans.csv")
+    write_config(tmp_path / "config.json", model={"kind": "forest", "n_trees": 2, "max_depth": 3})
+    assert run(tmp_path, "train") == 0
+    path = tmp_path / "out" / "model.json"
+    model = read_json(path)
+    assert model["trees"][0]["feature"][0] >= 0  # the edits need an inner root
+    edit, fragment = FOREST_MODEL_DEFECTS[defect]
+    path.write_text(json.dumps(edit(model)), encoding="utf-8")
+    capsys.readouterr()
+    assert run(tmp_path, "score") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert fragment in err, err
+
+
+def test_evaluate_with_corrupt_comparison_is_data_error(workdir, capsys):
+    assert run(workdir, "train") == 0
+    (workdir / "out" / "comparison.json").write_text("{not json", encoding="utf-8")
+    capsys.readouterr()
+    assert run(workdir, "evaluate") == 2
+    assert capsys.readouterr().err.startswith("creditworks: ")
+    assert not (workdir / "out" / "report.txt").exists()
+
+
+def test_boolean_seed_is_usage_error(tmp_path):
+    write_loans_csv(tmp_path / "loans.csv")
+    write_config(tmp_path / "config.json", seed=True)
+    assert run(tmp_path, "train") == 64

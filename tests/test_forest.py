@@ -21,6 +21,7 @@ from creditworks import (
     predict_proba_forest,
 )
 from creditworks.errors import DataError, TrainingError
+from creditworks.forest import CRITERIA, TREE_ARRAYS
 
 
 def test_gini_hand_values():
@@ -126,6 +127,68 @@ def _oracle_best_split(x, y, criterion):
     return best[0], best[1], max(0.0, best[2])
 
 
+
+def _reference_cart(x, y, params, rng=None, rows=None):
+    """The recursive CART build fit_cart replaced, on top of best_split.
+
+    Returns the tree as preorder lists in CartTree's layout, so fit_cart's
+    presorted iterative build can be compared with it array by array.
+    """
+    n_cols = x.shape[1]
+    fs = params.feature_subsample
+    k = n_cols if fs is None else min(n_cols, math.ceil(math.sqrt(n_cols)) if fs == "auto" else fs)
+    arrays = {name: [] for name in TREE_ARRAYS}
+
+    def build(subset, depth):
+        node = len(arrays["feature"])
+        n1 = int(y[subset].sum())
+        n0 = int(subset.size) - n1
+        for name, value in zip(TREE_ARRAYS, (-1, 0.0, -1, -1, n0, n1)):
+            arrays[name].append(value)
+        if (
+            n0 == 0
+            or n1 == 0
+            or subset.size < params.min_samples_split
+            or (params.max_depth is not None and depth >= params.max_depth)
+        ):
+            return node
+        feats = np.sort(rng.choice(n_cols, size=k, replace=False)) if k < n_cols else None
+        found = best_split(x, y, subset, feats, params.criterion)
+        if found is None:
+            return node
+        feature, threshold, _ = found
+        mask = x[subset, feature] <= threshold
+        arrays["feature"][node] = feature
+        arrays["threshold"][node] = threshold
+        arrays["left"][node] = build(subset[mask], depth + 1)
+        arrays["right"][node] = build(subset[~mask], depth + 1)
+        return node
+
+    build(np.arange(x.shape[0]) if rows is None else rows, 0)
+    return arrays
+
+
+def _reference_predict(arrays, x):
+    """Per-row walk down the preorder lists."""
+    out = np.empty(x.shape[0])
+    for i, row in enumerate(x):
+        node = 0
+        while arrays["feature"][node] >= 0:
+            go_left = row[arrays["feature"][node]] <= arrays["threshold"][node]
+            node = arrays["left"][node] if go_left else arrays["right"][node]
+        out[i] = arrays["count1"][node] / (arrays["count0"][node] + arrays["count1"][node])
+    return out
+
+
+def _tie_heavy_data(seed, n=160):
+    rng = np.random.default_rng(seed)
+    # Integer grids repeat values (ties in every sort); one continuous column.
+    x = np.column_stack(
+        [rng.integers(0, 4, size=(n, 3)), rng.integers(0, 12, size=n), rng.normal(size=n)]
+    ).astype(np.float64)
+    y = ((x[:, 0] + x[:, 3] > 7) ^ (rng.random(n) < 0.2)).astype(np.int64)
+    return x, y
+
 def test_best_split_agrees_with_brute_force():
     rng = np.random.default_rng(77)
     for trial in range(200):
@@ -149,7 +212,7 @@ def test_best_split_agrees_with_brute_force():
 def test_fit_cart_pure_labels_single_leaf():
     x = np.array([[1.0], [2.0], [3.0]])
     tree = fit_cart(x, np.array([1, 1, 1]), CartParams())
-    assert tree.root.is_leaf
+    assert tree.feature[0] == -1 and tree.stats()["nodes"] == 1
     assert tree.predict_proba(x).tolist() == [1.0, 1.0, 1.0]
 
 
@@ -175,7 +238,7 @@ def test_fit_cart_max_depth_zero_is_leaf():
     x = np.array([[0.0], [1.0]])
     y = np.array([0, 1])
     tree = fit_cart(x, y, CartParams(max_depth=0))
-    assert tree.root.is_leaf
+    assert tree.feature[0] == -1 and tree.stats()["nodes"] == 1
     assert tree.predict_proba(np.array([[0.5]]))[0] == 0.5
 
 
@@ -183,7 +246,7 @@ def test_fit_cart_min_samples_split_blocks_small_nodes():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 0, 1])
     tree = fit_cart(x, y, CartParams(min_samples_split=5))
-    assert tree.root.is_leaf
+    assert tree.feature[0] == -1 and tree.stats()["nodes"] == 1
 
 
 def test_fit_cart_terminates_on_contradictory_duplicates():
@@ -201,6 +264,63 @@ def test_fit_cart_distinguishes_close_values():
     tree = fit_cart(x, y, CartParams())
     assert np.array_equal(tree.classify(x), y)
 
+
+
+def test_fit_cart_grows_deep_trees_without_recursion():
+    # Alternating labels on distinct values peel one row off per level.
+    x = np.arange(5000, dtype=np.float64).reshape(-1, 1)
+    y = np.arange(5000) % 2
+    tree = fit_cart(x, y, CartParams())
+    assert tree.stats()["depth"] == 4999
+    assert np.array_equal(tree.classify(x), y)
+    forest = Forest(trees=(tree,), seed=0, bootstrap=False, columns=("a",))
+    back = forest_from_json_dict(json.loads(json.dumps(forest_to_json_dict(forest))))
+    assert np.array_equal(back.predict_proba(x), forest.predict_proba(x))
+
+
+def test_fit_cart_leaf_when_midpoint_rounds_onto_upper_value():
+    # (a + b) / 2 rounds to b for these adjacent floats, so "<= threshold"
+    # sends both rows left; the node stays a leaf instead of repeating.
+    a = 1.0 + 2.0**-52
+    x = np.array([[a], [np.nextafter(a, 2.0)]])
+    tree = fit_cart(x, np.array([0, 1]), CartParams())
+    assert tree.stats()["nodes"] == 1
+    assert tree.predict_proba(x).tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_fit_cart_matches_recursive_reference(criterion):
+    for seed in range(4):
+        x, y = _tie_heavy_data(seed)
+        for params in (
+            CartParams(criterion=criterion),
+            CartParams(criterion=criterion, max_depth=3, min_samples_split=9),
+            CartParams(criterion=criterion, feature_subsample="auto"),
+        ):
+            rows = np.random.default_rng(seed).integers(0, x.shape[0], size=x.shape[0])
+            tree = fit_cart(x, y, params, np.random.default_rng(seed + 100), rows=rows)
+            want = _reference_cart(x, y, params, np.random.default_rng(seed + 100), rows)
+            for name in TREE_ARRAYS:
+                assert getattr(tree, name).tolist() == want[name], name
+            assert np.array_equal(tree.predict_proba(x), _reference_predict(want, x))
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_fit_forest_matches_recursive_reference(criterion):
+    x, y = _tie_heavy_data(9, n=240)
+    config = ForestConfig(
+        n_trees=6, params=CartParams(criterion=criterion, feature_subsample="auto"), seed=4
+    )
+    forest = fit_forest(x, y, config)
+    probs = np.zeros(x.shape[0])
+    for t, tree in enumerate(forest.trees):
+        rng = np.random.default_rng((config.seed, t))
+        rows = rng.integers(0, x.shape[0], size=x.shape[0])
+        want = _reference_cart(x, y, config.params, rng, rows)
+        for name in TREE_ARRAYS:
+            assert getattr(tree, name).tolist() == want[name], name
+        probs = probs + _reference_predict(want, x)
+    assert np.array_equal(forest.predict_proba(x), probs / config.n_trees)
 
 def test_fit_cart_depth_cap_respected():
     rng = np.random.default_rng(11)
@@ -316,11 +436,13 @@ def test_tree_serialization_preserves_leaf_counts():
     tree = fit_cart(x, y, CartParams())
     forest = Forest(trees=(tree,), seed=0, bootstrap=False, columns=("a",))
     payload = forest_to_json_dict(forest)
-    node = payload["trees"][0]
-    assert "feature" in node and "threshold" in node
-    left = node["left"]
-    assert left["count0"] == 1 and left["count1"] == 1
-    assert left["probability"] == 0.5
+    arrays = payload["trees"][0]
+    assert arrays["feature"][0] == 0 and arrays["threshold"][0] == 0.5
+    left = arrays["left"][0]
+    assert arrays["feature"][left] == -1
+    assert arrays["count0"][left] == 1 and arrays["count1"][left] == 1
+    back = forest_from_json_dict(json.loads(json.dumps(payload))).trees[0]
+    assert back.predict_proba(np.array([[0.0]]))[0] == 0.5
 
 
 def test_forest_rejects_wrong_width():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import operator
 import os
 import sys
@@ -63,6 +64,17 @@ def _read_config(path: str) -> tuple[dict, Path]:
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     return cfg, p.parent
+
+
+def _config_float(cfg: dict, key: str, default: float) -> float:
+    value = cfg.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise UsageError(f"config {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _resolve(base: Path, p: str) -> Path:
@@ -119,7 +131,7 @@ def _run_pipeline(cfg: dict, base: Path) -> _Pipeline:
         cfg.get("missing_policy", "fill_median_or_mode"),
     )
     matrix, encode_report = dataset.encode(cleaned)
-    pair = dataset.split(matrix, float(cfg.get("test_fraction", 0.2)), seed)
+    pair = dataset.split(matrix, _config_float(cfg, "test_fraction", 0.2), seed)
     return _Pipeline(
         terminal=terminal,
         table=cleaned,
@@ -204,7 +216,7 @@ def _threshold_rules(cfg: dict):
     for entry in raw:
         try:
             column, op, value = entry["column"], entry["op"], float(entry["value"])
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise UsageError(f"bad threshold rule {entry!r}") from exc
         if op not in ops:
             raise UsageError(f"unknown threshold op {op!r}")
@@ -370,7 +382,7 @@ def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
     cols = pipe.exposure_columns
     recovery = exposure.recovery_rates(pipe.table, cols)
     pd_scores = _predict_pd(kind, model, scaler, pipe.matrix)
-    risk_free = float(cfg.get("risk_free_rate", 0.0))
+    risk_free = _config_float(cfg, "risk_free_rate", 0.0)
 
     names = pipe.table.names
     rows = []

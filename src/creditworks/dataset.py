@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
-import statistics
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,22 +110,97 @@ def dump_column_specs(specs, path) -> None:
 
 
 @dataclass(frozen=True)
+class Categorical:
+    """A non-numeric column: its distinct observed values in sorted order, and
+    per row the index of the row's value among them (-1 where missing).
+
+    Every level is used by some row, so a row subset recomputes the levels.
+    """
+
+    levels: tuple[str, ...]
+    codes: np.ndarray
+
+    def __post_init__(self):
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise SchemaError("level codes must be a 1-D integer array")
+        if codes.size and (codes.min() < -1 or codes.max() >= len(self.levels)):
+            raise SchemaError(f"level codes outside [-1, {len(self.levels)})")
+        codes = codes.astype(np.intp, copy=False).view()
+        codes.setflags(write=False)
+        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def from_codes(cls, values, codes) -> "Categorical":
+        """Column whose row i holds values[codes[i]] (missing where -1).
+
+        `values` need be neither sorted nor all used: the levels become the
+        used values, sorted, and the codes are renumbered to match.
+        """
+        codes = np.asarray(codes, dtype=np.intp)
+        used = np.bincount(codes[codes >= 0], minlength=len(values)) > 0
+        order = sorted(np.flatnonzero(used).tolist(), key=values.__getitem__)
+        renumber = np.full(len(values) + 1, -1, dtype=np.intp)  # [-1] maps -1 to -1
+        renumber[order] = np.arange(len(order))
+        return cls(tuple(values[i] for i in order), renumber[codes])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> "Categorical":
+        return Categorical.from_codes(self.levels, self.codes[rows])
+
+
+def _missing(column) -> np.ndarray:
+    if isinstance(column, Categorical):
+        return column.codes < 0
+    return np.isnan(column)
+
+
+def _cells(column) -> list:
+    """Row values as Python objects, None where missing."""
+    if isinstance(column, Categorical):
+        return np.array(column.levels + (None,), dtype=object)[column.codes].tolist()
+    cells = column.astype(object)
+    cells[np.isnan(column)] = None
+    return cells.tolist()
+
+
+@dataclass(frozen=True)
 class RawLoanTable:
-    """Parsed loan rows. A cell is float, str, or None when missing."""
+    """Parsed loan table, one array per schema column, all of one length.
+
+    A numeric column is float64 with NaN for a missing cell; a column of any
+    other kind is a Categorical. `rows` and `column()` derive Python cells
+    (float, str, or None when missing) for callers that go row by row.
+    """
 
     schema: tuple[ColumnSpec, ...]
-    rows: tuple[tuple, ...]
+    columns: tuple
     status_map: dict | None = None
 
     def __post_init__(self):
-        width = len(self.schema)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise SchemaError(f"row {i} has {len(row)} cells, schema has {width}")
+        if len(self.columns) != len(self.schema):
+            raise SchemaError(f"{len(self.columns)} columns, schema has {len(self.schema)}")
+        columns = []
+        for spec, column in zip(self.schema, self.columns):
+            if spec.kind == "numeric":
+                column = np.asarray(column, dtype=np.float64).view()
+                if column.ndim != 1:
+                    raise SchemaError(f"numeric column {spec.name!r} must be 1-D")
+                column.setflags(write=False)
+            elif not isinstance(column, Categorical):
+                raise SchemaError(f"{spec.kind} column {spec.name!r} must be a Categorical")
+            columns.append(column)
+        lengths = sorted({len(c) for c in columns})
+        if len(lengths) > 1:
+            raise SchemaError(f"columns differ in length: {lengths}")
+        object.__setattr__(self, "columns", tuple(columns))
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 0
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -144,47 +220,167 @@ class RawLoanTable:
         return self.schema[self.index_of(name)]
 
     def column(self, name: str) -> list:
-        j = self.index_of(name)
-        return [row[j] for row in self.rows]
+        return _cells(self.columns[self.index_of(name)])
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """Row tuples, built from the columns on every access."""
+        return tuple(zip(*(_cells(c) for c in self.columns)))
 
     def has_column(self, name: str) -> bool:
         return any(s.name == name for s in self.schema)
 
+    def take(self, rows) -> "RawLoanTable":
+        """The rows selected by a boolean mask or an index array."""
+        return RawLoanTable(self.schema, tuple(c[rows] for c in self.columns), self.status_map)
 
-def _parse_cell(text: str, kind: str):
-    """Parse one CSV cell per its column kind; unparseable numerics become missing."""
-    value = text.strip()
-    if value == "":
-        return None
-    if kind == "numeric":
-        # Lending Club dumps write rates as "13.56%".
-        candidate = value[:-1].strip() if value.endswith("%") else value
+
+# Records per parse block: bounds the raw cell strings held at once.
+BLOCK_ROWS = 256
+# Distinct cell texts a column parser caches before it starts afresh, so a
+# column of mostly distinct numbers costs memory per block, not per file.
+CACHE_LIMIT = 8192
+
+
+class _NonFiniteCell(Exception):
+    pass
+
+
+def _number(text: str) -> float:
+    """A numeric cell: the stripped text less a trailing "%" (Lending Club
+    writes rates as "13.56%"), NaN when blank or no number."""
+    try:
+        number = float(text)  # float() strips whitespace as str.strip() does
+    except ValueError:
+        value = text.strip()
         try:
-            return float(candidate)
+            number = float(value[:-1] if value.endswith("%") else value)
         except ValueError:
-            return None
-    return value
+            return math.nan
+    if not math.isfinite(number):
+        raise _NonFiniteCell(text)
+    return number
+
+
+class _ColumnParser(dict):
+    """Parses one column block by block.
+
+    The dict maps each distinct cell text to its parsed value: a float (NaN
+    when missing or unparseable) for a numeric column, a level code (-1 when
+    missing) otherwise. Each text is parsed once while it stays cached.
+    """
+
+    def __init__(self, spec: ColumnSpec):
+        super().__init__()
+        self.spec = spec
+        self.numeric = spec.kind == "numeric"
+        self.levels: dict[str, int] = {}
+        self.blocks = [np.empty(0, dtype=np.float64 if self.numeric else np.intp)]
+
+    def __missing__(self, text: str):
+        if self.numeric:
+            parsed = _number(text)
+        else:
+            value = text.strip()
+            parsed = -1 if value == "" else self.levels.setdefault(value, len(self.levels))
+        self[text] = parsed
+        return parsed
+
+    def add(self, cells: tuple, lines: list) -> None:
+        try:
+            block = np.fromiter(map(self.__getitem__, cells), self.blocks[0].dtype, len(cells))
+        except _NonFiniteCell as bad:
+            raise ParseError(
+                f"numeric column {self.spec.name!r} holds the non-finite value "
+                f"{bad.args[0].strip()!r} at line {lines[cells.index(bad.args[0])]}"
+            ) from None
+        self.blocks.append(block)
+        if len(self) > CACHE_LIMIT:
+            self.clear()
+
+    def finish(self):
+        parsed = np.concatenate(self.blocks)
+        return parsed if self.numeric else Categorical.from_codes(list(self.levels), parsed)
+
+
+class _Utf8Reader(io.RawIOBase):
+    """Passes a binary stream through, raising ParseError at the first byte
+    that is not UTF-8, with its offset in the stream."""
+
+    def __init__(self, raw, owned: bool):
+        self._raw = raw
+        self._owned = owned
+        self._pending = b""  # an incomplete character held back from the last read
+        self._offset = 0  # stream offset of _pending
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self._raw.read(len(buffer))
+        chunk = self._pending + data
+        try:
+            _, used = codecs.utf_8_decode(chunk, "strict", not data)
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"CSV is not UTF-8: invalid byte at offset {self._offset + exc.start}"
+            ) from None
+        self._pending = chunk[used:]
+        self._offset += used
+        buffer[: len(data)] = data
+        return len(data)
+
+    def close(self) -> None:
+        if self._owned and not self.closed:
+            self._raw.close()
+        super().close()
 
 
 def _open_text(source):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
-    data = getattr(source, "read", None)
-    if data is None:
-        raise TypeError(f"cannot read CSV from {type(source).__name__}")
+    """A text stream over `source`, and whether load_csv must close it."""
     if isinstance(source, io.TextIOBase):
         return source, False
-    return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+    if isinstance(source, (str, Path)):
+        raw, owned = open(source, "rb", buffering=0), True
+    elif isinstance(source, (bytes, bytearray)):
+        raw, owned = io.BytesIO(source), True
+    elif hasattr(source, "read"):
+        raw, owned = source, False
+    else:
+        raise TypeError(f"cannot read CSV from {type(source).__name__}")
+    checked = io.BufferedReader(_Utf8Reader(raw, owned))
+    return io.TextIOWrapper(checked, encoding="utf-8", newline=""), True
+
+
+def _blocks(reader, width: int):
+    """The records in blocks of BLOCK_ROWS, each with its records' line numbers."""
+    block, lines = [], []
+    try:
+        for record in reader:
+            if len(record) != width:
+                raise ParseError(
+                    f"malformed CSV at line {reader.line_num}: "
+                    f"expected {width} fields, got {len(record)}"
+                )
+            block.append(record)
+            lines.append(reader.line_num)
+            if len(block) == BLOCK_ROWS:
+                yield block, lines
+                block, lines = [], []
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
+    if block:
+        yield block, lines
 
 
 def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
-    """Parse an RFC-4180 CSV with a header row into a RawLoanTable.
+    """Parse an RFC-4180 UTF-8 CSV with a header row into a RawLoanTable.
 
     The header must carry exactly the spec'd column names (any order). With
     allow_extra, header columns absent from the spec are appended to the
-    schema as droppable text columns instead of raising.
+    schema as droppable text columns instead of raising. A numeric cell is
+    stripped and loses a trailing "%"; text that is no number is missing,
+    and text that parses to NaN or an infinity is a ParseError.
     """
     specs = validate_schema(specs)
     fh, owned = _open_text(source)
@@ -210,37 +406,36 @@ def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
 
         schema = list(specs) + [ColumnSpec(h, "text", "drop") for h in extra]
         positions = [header.index(s.name) for s in schema]
-        kinds = [s.kind for s in schema]
-
-        rows = []
-        try:
-            for record in reader:
-                if len(record) != len(header):
-                    raise ParseError(
-                        f"malformed CSV at line {reader.line_num}: "
-                        f"expected {len(header)} fields, got {len(record)}"
-                    )
-                rows.append(
-                    tuple(_parse_cell(record[p], k) for p, k in zip(positions, kinds))
-                )
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
+        parsers = [_ColumnParser(s) for s in schema]
+        for block, lines in _blocks(reader, len(header)):
+            fields = list(zip(*block))
+            for parser, p in zip(parsers, positions):
+                parser.add(fields[p], lines)
     finally:
         if owned:
             fh.close()
-    return RawLoanTable(schema=tuple(schema), rows=tuple(rows))
+    return RawLoanTable(schema=tuple(schema), columns=tuple(p.finish() for p in parsers))
+
+
+def _status_values(table: RawLoanTable):
+    """The target column as (distinct values, per-row index into them, -1 if missing)."""
+    j = table.index_of(table.target_name)
+    column = table.columns[j]
+    if isinstance(column, Categorical):
+        return column.levels, column.codes
+    return table.column(table.target_name), np.arange(len(column))
 
 
 def filter_terminal(table: RawLoanTable, status_map=None) -> RawLoanTable:
     """Keep only rows whose loan status is a terminal outcome (paid or charged off)."""
     mapping = dict(status_map or STATUS_MAP)
-    j = table.index_of(table.target_name)
-    kept = tuple(row for row in table.rows if row[j] in mapping)
-    if not kept:
+    values, codes = _status_values(table)
+    keep = np.array([v in mapping for v in values] + [False])[codes]
+    if not keep.any():
         raise EmptyDatasetError(
             f"no rows with a terminal loan status; expected one of {sorted(mapping)}"
         )
-    return RawLoanTable(schema=table.schema, rows=kept, status_map=mapping)
+    return replace(table.take(keep), status_map=mapping)
 
 
 def drop_columns(table: RawLoanTable, names=None) -> RawLoanTable:
@@ -253,23 +448,21 @@ def drop_columns(table: RawLoanTable, names=None) -> RawLoanTable:
     if unknown:
         raise SchemaError(f"cannot drop unknown columns: {unknown}")
     doomed = set(names)
-    schema = tuple(s for s in table.schema if s.name not in doomed)
-    if not any(s.role == "feature" for s in schema):
+    kept = [(s, c) for s, c in zip(table.schema, table.columns) if s.name not in doomed]
+    if not any(s.role == "feature" for s, _ in kept):
         raise SchemaError("dropping these columns would leave no feature columns")
-    keep = [i for i, s in enumerate(table.schema) if s.name not in doomed]
-    rows = tuple(tuple(row[i] for i in keep) for row in table.rows)
-    return RawLoanTable(schema=schema, rows=rows, status_map=table.status_map)
+    schema, columns = zip(*kept)
+    return RawLoanTable(schema=schema, columns=columns, status_map=table.status_map)
 
 
-def _fill_value(spec: ColumnSpec, cells):
-    observed = [c for c in cells if c is not None]
-    if not observed:
+def _filled(spec: ColumnSpec, column, gaps: np.ndarray):
+    if gaps.all():
         raise UnresolvableColumnError(f"column {spec.name!r} has no observed values to fill from")
-    if spec.kind == "numeric":
-        return statistics.median(observed)
-    counts = Counter(observed)
-    top = max(counts.values())
-    return min(v for v, c in counts.items() if c == top)
+    if isinstance(column, Categorical):
+        # argmax takes the first of tied counts: the lexicographically smallest level.
+        mode = int(np.argmax(np.bincount(column.codes[~gaps], minlength=len(column.levels))))
+        return Categorical(column.levels, np.where(gaps, mode, column.codes))
+    return np.where(gaps, np.median(column[~gaps]), column)
 
 
 def handle_missing(table: RawLoanTable, policy: str = "fill_median_or_mode") -> RawLoanTable:
@@ -277,31 +470,26 @@ def handle_missing(table: RawLoanTable, policy: str = "fill_median_or_mode") -> 
 
     drop_row removes every row that has any missing cell. fill_median_or_mode
     substitutes the column median (numeric) or most frequent value (other
-    kinds), computed over the non-missing cells.
+    kinds; ties go to the lexicographically smallest), computed over the
+    non-missing cells.
     """
     if policy not in MISSING_POLICIES:
         raise DataError(f"unknown missing policy {policy!r}; expected one of {MISSING_POLICIES}")
     if table.row_count == 0:
         raise EmptyDatasetError("cannot handle missing values on an empty table")
 
+    gaps = [_missing(c) for c in table.columns]
     if policy == "drop_row":
-        rows = tuple(row for row in table.rows if all(c is not None for c in row))
-        if not rows:
+        complete = ~np.logical_or.reduce(gaps)
+        if not complete.any():
             raise EmptyDatasetError("every row has at least one missing cell")
-        return RawLoanTable(schema=table.schema, rows=rows, status_map=table.status_map)
+        return table.take(complete)
 
-    fills = {}
-    for j, spec in enumerate(table.schema):
-        cells = [row[j] for row in table.rows]
-        if any(c is None for c in cells):
-            fills[j] = _fill_value(spec, cells)
-    if not fills:
-        return table
-    rows = tuple(
-        tuple(fills[j] if cell is None else cell for j, cell in enumerate(row))
-        for row in table.rows
+    columns = tuple(
+        _filled(spec, column, g) if g.any() else column
+        for spec, column, g in zip(table.schema, table.columns, gaps)
     )
-    return RawLoanTable(schema=table.schema, rows=rows, status_map=table.status_map)
+    return RawLoanTable(schema=table.schema, columns=columns, status_map=table.status_map)
 
 
 @dataclass(frozen=True)
@@ -367,53 +555,48 @@ def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
     columns are dropped and recorded in the report.
     """
     mapping = table.status_map or STATUS_MAP
-    target = table.target_name
-    j_target = table.index_of(target)
+    values, codes = _status_values(table)
+    known = np.array([v in mapping for v in values] + [False])[codes]
+    if not known.all():
+        i = int(np.argmin(known))
+        status = values[codes[i]] if codes[i] >= 0 else None
+        raise DataError(
+            f"row {i} has non-terminal status {status!r}; filter_terminal must run first"
+        )
+    y = np.asarray([mapping.get(v, 0) for v in values], dtype=np.int64)[codes]
 
-    y = []
-    for i, row in enumerate(table.rows):
-        status = row[j_target]
-        if status not in mapping:
-            raise DataError(
-                f"row {i} has non-terminal status {status!r}; filter_terminal must run first"
-            )
-        y.append(mapping[status])
-
-    col_arrays: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     col_names: list[str] = []
     dropped: list[str] = []
     dummies: dict = {}
     numeric: list[str] = []
 
-    for j, spec in enumerate(table.schema):
+    for spec, column in zip(table.schema, table.columns):
         if spec.role != "feature":
             continue
-        cells = [row[j] for row in table.rows]
-        if any(c is None for c in cells):
+        if _missing(column).any():
             raise DataError(f"column {spec.name!r} still has missing cells; clean before encoding")
-        if spec.kind == "numeric":
-            col_arrays.append(np.asarray(cells, dtype=np.float64))
+        if not isinstance(column, Categorical):
+            blocks.append(column[:, None])
             col_names.append(spec.name)
             numeric.append(spec.name)
             continue
-        levels = sorted(set(cells))
-        if len(levels) < 2:
+        k = len(column.levels)
+        if k < 2:
             dropped.append(spec.name)
             continue
-        baseline, rest = levels[0], levels[1:]
+        baseline, rest = column.levels[0], column.levels[1:]
         names = [f"{spec.name}={v}" for v in rest]
         dummies[spec.name] = {"baseline": baseline, "columns": tuple(names)}
-        for v, nm in zip(rest, names):
-            col_arrays.append(np.asarray([1.0 if c == v else 0.0 for c in cells]))
-            col_names.append(nm)
+        blocks.append(column.codes[:, None] == np.arange(1, k))
+        col_names.extend(names)
 
-    n_rows = table.row_count
     x = (
-        np.column_stack(col_arrays)
-        if col_arrays
-        else np.zeros((n_rows, 0), dtype=np.float64)
+        np.hstack(blocks, dtype=np.float64)
+        if blocks
+        else np.zeros((table.row_count, 0), dtype=np.float64)
     )
-    matrix = DesignMatrix(columns=tuple(col_names), x=x, y=np.asarray(y, dtype=np.int64))
+    matrix = DesignMatrix(columns=tuple(col_names), x=x, y=y)
     report = EncodeReport(
         dropped_constant=tuple(dropped), dummies=dummies, numeric=tuple(numeric)
     )

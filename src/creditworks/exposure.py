@@ -185,17 +185,14 @@ def recovery_rates(table, columns: ExposureColumns = ExposureColumns()) -> Recov
     _require_columns(table, columns)
     status_map = table.status_map or STATUS_MAP
     defaulted = {status for status, label in status_map.items() if label == 1}
-    j_status = table.index_of(table.target_name)
+    statuses = table.column(table.target_name)
+    charged_off = table.take([i for i, s in enumerate(statuses) if s in defaulted])
     names = table.names
 
     sums: dict = {}
     total_rec = 0.0
     total_exp = 0.0
-    seen = 0
-    for row in table.rows:
-        if row[j_status] not in defaulted:
-            continue
-        seen += 1
+    for row in charged_off.rows:
         record = dict(zip(names, row))
         exposure = float(record_ead(record, columns))
         rec_cell = record[columns.recoveries]
@@ -209,7 +206,7 @@ def recovery_rates(table, columns: ExposureColumns = ExposureColumns()) -> Recov
         total_rec += recovered
         total_exp += exposure
 
-    if seen == 0:
+    if charged_off.row_count == 0:
         raise DataError("no charged-off rows to estimate recovery rates from")
     if total_exp <= 0.0:
         raise DataError("charged-off rows carry zero total exposure")

@@ -7,6 +7,7 @@ import random
 import numpy as np
 
 from creditworks import ColumnSpec, RawLoanTable
+from creditworks.dataset import Categorical
 
 LOAN_HEADER = [
     "loan_amnt", "term", "int_rate", "sub_grade", "emp_title", "emp_length",
@@ -88,8 +89,19 @@ def write_config(path, **overrides):
     return path
 
 
+def build_column(kind, cells):
+    """One RawLoanTable column from Python cells (None = missing)."""
+    if kind == "numeric":
+        return np.array([np.nan if c is None else c for c in cells], dtype=np.float64)
+    index = {}
+    codes = [-1 if c is None else index.setdefault(c, len(index)) for c in cells]
+    return Categorical.from_codes(list(index), np.array(codes, dtype=np.intp))
+
+
 def build_table(columns, rows, status_map=None):
     """RawLoanTable straight from (name, kind, role) triples and cell rows."""
     schema = tuple(ColumnSpec(name, kind, role) for name, kind, role in columns)
-    return RawLoanTable(schema=schema, rows=tuple(tuple(r) for r in rows),
+    cells = list(zip(*rows)) if rows else [()] * len(schema)
+    return RawLoanTable(schema=schema,
+                        columns=tuple(build_column(s.kind, c) for s, c in zip(schema, cells)),
                         status_map=status_map)

@@ -396,3 +396,42 @@ def test_boolean_seed_is_usage_error(tmp_path):
     write_loans_csv(tmp_path / "loans.csv")
     write_config(tmp_path / "config.json", seed=True)
     assert run(tmp_path, "train") == 64
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("train", {"test_fraction": "abc"}, "test_fraction"),
+        ("price", {"risk_free_rate": "x"}, "risk_free_rate"),
+        ("explore", {"thresholds": [{"column": "dti", "op": ">", "value": "abc"}]}, "threshold"),
+    ],
+)
+def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overrides, key):
+    if command == "price":
+        assert run(workdir, "train") == 0
+    write_config(workdir / "config.json", **overrides)
+    capsys.readouterr()
+    assert run(workdir, command) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert key in err, err
+
+
+def test_non_utf8_csv_is_data_error(workdir, capsys):
+    data = (workdir / "loans.csv").read_bytes()
+    offset = data.index(b"eng")  # an emp_title cell
+    (workdir / "loans.csv").write_bytes(data[:offset] + b"\xe9" + data[offset + 1:])
+    assert run(workdir, "train") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert f"offset {offset}" in err, err
+
+
+def test_non_finite_exposure_cell_is_data_error(workdir, capsys):
+    rows = make_loan_rows()
+    rows[4][LOAN_HEADER.index("recoveries")] = "inf"
+    write_loans_csv(workdir / "loans.csv", rows)
+    assert run(workdir, "train") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "'recoveries'" in err and "line 6" in err, err

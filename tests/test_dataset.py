@@ -1,4 +1,8 @@
+import csv
 import io
+import random
+import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from conftest import build_table
 from creditworks import (
     ColumnSpec,
+    DesignMatrix,
     class_balance,
     default_column_specs,
     drop_columns,
@@ -15,7 +20,14 @@ from creditworks import (
     load_csv,
     split,
 )
-from creditworks.dataset import DEFAULT_DROP_COLUMNS, load_column_specs, validate_schema
+from creditworks import dataset
+from creditworks.dataset import (
+    DEFAULT_DROP_COLUMNS,
+    STATUS_MAP,
+    EncodeReport,
+    load_column_specs,
+    validate_schema,
+)
 from creditworks.errors import (
     DataError,
     EmptyDatasetError,
@@ -404,3 +416,274 @@ def test_class_balance_matches_brute_count():
 def test_class_balance_empty():
     with pytest.raises(DataError):
         class_balance([])
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", " Infinity ", "1e999", "nan%"])
+def test_load_csv_rejects_non_finite_numeric_text(text):
+    with pytest.raises(ParseError, match=r"'loan_amnt'.*line 3"):
+        load_csv(_csv(
+            f'loan_amnt,purpose,loan_status\n1,car,Fully Paid\n"{text}",car,Fully Paid\n'
+        ), THREE_COL)
+
+
+def test_load_csv_non_finite_line_counts_quoted_newlines(monkeypatch):
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", 2)
+    with pytest.raises(ParseError, match="line 5"):
+        load_csv(_csv(
+            'loan_amnt,purpose,loan_status\n1,"two\nlines",Fully Paid\n'
+            '2,car,Fully Paid\ninf,car,Fully Paid\n'
+        ), THREE_COL)
+
+
+def _non_utf8_book():
+    """A valid UTF-8 book with a 2-byte character across offset 65536,
+    then one stray 0xe9 byte; returns the bytes and that byte's offset."""
+    head = b"loan_amnt,purpose,loan_status\n"
+    row = "1,café,Fully Paid\n".encode()
+    data = head + row * ((65500 - len(head)) // len(row))
+    data += b"1," + b"x" * (65530 - len(data) - 14) + b",Fully Paid\n"
+    data += row * 50
+    assert data[65535:65537] == "é".encode()
+    offset = len(data) + len(b"1,caf")
+    return data + b"1,caf\xe9,Fully Paid\n" + row, offset
+
+
+def test_load_csv_non_utf8_reports_byte_offset(tmp_path):
+    data, offset = _non_utf8_book()
+    assert 65536 < offset
+    path = tmp_path / "book.csv"
+    path.write_bytes(data)
+    for source in (path, str(path), data, io.BytesIO(data)):
+        with pytest.raises(ParseError, match=f"not UTF-8.*offset {offset}$"):
+            load_csv(source, THREE_COL)
+    good = data[:offset] + b"e" + data[offset + 1:]
+    assert load_csv(good, THREE_COL).row_count == good.count(b"\n") - 1
+
+
+def test_load_csv_truncated_utf8_at_end_of_file():
+    data = "loan_amnt,purpose,loan_status\n1,car,café".encode()[:-1]
+    with pytest.raises(ParseError, match=f"offset {len(data) - 1}$"):
+        load_csv(data, THREE_COL)
+
+
+def test_load_csv_leaves_a_binary_stream_open():
+    stream = io.BytesIO(b"loan_amnt,purpose,loan_status\n1,car,Fully Paid\n")
+    load_csv(stream, THREE_COL)
+    assert not stream.closed
+
+
+# --- Reference oracle -----------------------------------------------------
+# The row-tuple pipeline the columnar table replaced, kept as the reference:
+# every cell a Python float, str or None, every step a loop over row tuples.
+
+
+def _ref_parse_cell(text, kind):
+    value = text.strip()
+    if value == "":
+        return None
+    if kind == "numeric":
+        candidate = value[:-1].strip() if value.endswith("%") else value
+        try:
+            return float(candidate)
+        except ValueError:
+            return None
+    return value
+
+
+def _ref_load(text, specs):
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    names = {s.name for s in specs}
+    schema = tuple(specs) + tuple(ColumnSpec(h, "text", "drop") for h in header if h not in names)
+    positions = [header.index(s.name) for s in schema]
+    rows = [tuple(_ref_parse_cell(r[p], s.kind) for p, s in zip(positions, schema)) for r in reader]
+    return schema, rows
+
+
+def _ref_filter_terminal(schema, rows, mapping):
+    j = [s.role for s in schema].index("target")
+    return [row for row in rows if row[j] in mapping]
+
+
+def _ref_drop_columns(schema, rows):
+    keep = [i for i, s in enumerate(schema) if s.role != "drop"]
+    return tuple(schema[i] for i in keep), [tuple(row[i] for i in keep) for row in rows]
+
+
+def _ref_handle_missing(schema, rows, policy):
+    if policy == "drop_row":
+        return [row for row in rows if all(c is not None for c in row)]
+    fills = {}
+    for j, spec in enumerate(schema):
+        cells = [row[j] for row in rows]
+        if any(c is None for c in cells):
+            observed = [c for c in cells if c is not None]
+            if spec.kind == "numeric":
+                fills[j] = statistics.median(observed)
+            else:
+                counts = Counter(observed)
+                top = max(counts.values())
+                fills[j] = min(v for v, c in counts.items() if c == top)
+    return [tuple(fills[j] if c is None else c for j, c in enumerate(row)) for row in rows]
+
+
+def _ref_encode(schema, rows, mapping):
+    j_target = [s.role for s in schema].index("target")
+    y = [mapping[row[j_target]] for row in rows]
+    arrays, names, dropped, dummies, numeric = [], [], [], {}, []
+    for j, spec in enumerate(schema):
+        if spec.role != "feature":
+            continue
+        cells = [row[j] for row in rows]
+        if spec.kind == "numeric":
+            arrays.append(np.asarray(cells, dtype=np.float64))
+            names.append(spec.name)
+            numeric.append(spec.name)
+            continue
+        levels = sorted(set(cells))
+        if len(levels) < 2:
+            dropped.append(spec.name)
+            continue
+        cols = [f"{spec.name}={v}" for v in levels[1:]]
+        dummies[spec.name] = {"baseline": levels[0], "columns": tuple(cols)}
+        for v, name in zip(levels[1:], cols):
+            arrays.append(np.asarray([1.0 if c == v else 0.0 for c in cells]))
+            names.append(name)
+    x = np.column_stack(arrays) if arrays else np.zeros((len(rows), 0))
+    matrix = DesignMatrix(columns=tuple(names), x=x, y=np.asarray(y, dtype=np.int64))
+    return matrix, EncodeReport(tuple(dropped), dummies, tuple(numeric))
+
+
+def _assert_views_match(table, schema, rows):
+    assert table.schema == schema
+    assert table.row_count == len(rows)
+    assert table.rows == tuple(rows)
+    for j, spec in enumerate(schema):
+        assert table.column(spec.name) == [row[j] for row in rows]
+
+
+def _assert_matches_reference(text, specs, status_map=None, policy="fill_median_or_mode"):
+    """Run the columnar and the reference chain on one CSV text; every stage must agree."""
+    mapping = dict(status_map or STATUS_MAP)
+    schema, rows = _ref_load(text, specs)
+    raw = load_csv(_csv(text), specs, allow_extra=True)
+    _assert_views_match(raw, schema, rows)
+
+    rows = _ref_filter_terminal(schema, rows, mapping)
+    terminal = filter_terminal(raw, status_map)
+    _assert_views_match(terminal, schema, rows)
+
+    schema, rows = _ref_drop_columns(schema, rows)
+    dropped = drop_columns(terminal)
+    _assert_views_match(dropped, schema, rows)
+
+    rows = _ref_handle_missing(schema, rows, policy)
+    cleaned = handle_missing(dropped, policy)
+    _assert_views_match(cleaned, schema, rows)
+
+    want, want_report = _ref_encode(schema, rows, mapping)
+    matrix, report = encode(cleaned)
+    assert matrix.columns == want.columns
+    assert matrix.x.shape == want.x.shape and matrix.x.tobytes() == want.x.tobytes()
+    assert matrix.y.tobytes() == want.y.tobytes()
+    assert report == want_report
+    return matrix, report
+
+
+BOOK_SPECS = [
+    ColumnSpec("loan_amnt", "numeric"),
+    ColumnSpec("term", "categorical"),
+    ColumnSpec("int_rate", "numeric"),
+    ColumnSpec("emp_title", "text", "drop"),
+    ColumnSpec("annual_inc", "numeric"),
+    ColumnSpec("purpose", "categorical"),
+    ColumnSpec("policy_code", "categorical"),
+    ColumnSpec("issue_d", "date", "feature"),
+    ColumnSpec("loan_status", "text", "target"),
+    ColumnSpec("recoveries", "numeric", "exposure_aux"),
+]
+BOOK_STATUSES = ["Fully Paid"] * 6 + ["Charged Off"] * 3 + ["Current", "Late (31-120 days)", "Default"]
+
+
+def _book_text(n=300, seed=0):
+    """A loan book in the benchmark generator's style: missing and unparseable
+    cells, rates with and without "%", in-flight statuses, a quoted comma, a
+    constant column (policy_code) and a column outside the spec (member_id)."""
+    rng = random.Random(seed)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([s.name for s in BOOK_SPECS] + ["member_id"])
+
+    def gap(cell, p=0.08):
+        return rng.choice(["", " ", "n/a"]) if rng.random() < p else cell
+
+    for i in range(n):
+        rate = round(rng.uniform(5, 26), 2)
+        writer.writerow([
+            gap(str(rng.choice([4000, 8000, 12000, 20025]))),
+            rng.choice([" 36 months", " 60 months", "36 months "]),
+            gap(rng.choice([f"{rate}%", f"{rate}", f" {rate} % "])),
+            gap(rng.choice(["eng", "Smith, Jones & Co", "nurse"]), 0.2),
+            gap(f"{rng.randint(20, 300) * 500 + rng.random():.2f}"),
+            gap(rng.choice(["car", "credit_card", "house", "small_business"]), 0.05),
+            "1",
+            rng.choice(["Jan-2018", "Feb-2018", "Mar-2018"]),
+            rng.choice(BOOK_STATUSES),
+            f"{rng.uniform(0, 500):.2f}",
+            str(100000 + i),
+        ])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "block_rows, cache_limit", [(7, 5), (64, 100), (dataset.BLOCK_ROWS, dataset.CACHE_LIMIT)]
+)
+def test_columnar_chain_matches_reference_on_a_book(monkeypatch, block_rows, cache_limit):
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(dataset, "CACHE_LIMIT", cache_limit)
+    matrix, report = _assert_matches_reference(_book_text(), BOOK_SPECS)
+    assert report.dropped_constant == ("policy_code",)
+    assert "issue_d=Mar-2018" in matrix.columns
+
+
+def test_columnar_chain_matches_reference_drop_row_and_status_map(monkeypatch):
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", 16)
+    status_map = {"Fully Paid": 0, "Charged Off": 1, "Default": 1, "Late (31-120 days)": 1}
+    _assert_matches_reference(_book_text(200, seed=1), BOOK_SPECS, status_map, "drop_row")
+    _assert_matches_reference(_book_text(200, seed=2), BOOK_SPECS, status_map)
+
+
+def test_columnar_chain_matches_reference_even_median_and_mode_tie():
+    text = (
+        "loan_amnt,purpose,loan_status\n"
+        "0.1,b,Fully Paid\n"
+        ",a,Charged Off\n"
+        "0.2,,Fully Paid\n"
+        "0.7,a,Current\n"
+        "0.9,wedding,Late (31-120 days)\n"
+        "0.3,b,Charged Off\n"
+        "0.05,,Fully Paid\n"
+    )
+    # Terminal rows observe loan_amnt 0.1, 0.2, 0.3, 0.05: the median is the
+    # mean of the middle two. purpose's mode is b among the terminal rows;
+    # with the in-flight rows counted, a would win the tie. wedding occurs
+    # only in flight, so it is no level of the filtered table.
+    matrix, _ = _assert_matches_reference(text, THREE_COL)
+    assert matrix.columns == ("loan_amnt", "purpose=b")
+    assert matrix.x[1, 0] == (0.1 + 0.2) / 2
+    assert matrix.x[[2, 4], 1].tolist() == [1.0, 1.0]  # the two filled cells
+    tie = "loan_amnt,purpose,loan_status\n1,b,Fully Paid\n2,a,Charged Off\n3,,Fully Paid\n"
+    matrix, _ = _assert_matches_reference(tie, THREE_COL)
+    assert matrix.columns == ("loan_amnt", "purpose=b") and matrix.x[2, 1] == 0.0
+
+
+def test_columnar_header_only_gives_empty_columns():
+    text = "loan_amnt,purpose,loan_status\n"
+    schema, rows = _ref_load(text, THREE_COL)
+    table = load_csv(_csv(text), THREE_COL)
+    _assert_views_match(table, schema, rows)
+    amounts, purposes, statuses = table.columns
+    assert amounts.dtype == np.float64 and amounts.shape == (0,)
+    assert purposes.levels == () and len(purposes) == 0 and len(statuses) == 0
+    with pytest.raises(EmptyDatasetError):
+        filter_terminal(table)

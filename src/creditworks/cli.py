@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, exposure, features, forest, logreg, metrics
-from .cds import price_for_loan
+from .cds import fair_spreads
 from .errors import (
     CreditworksError,
     DataError,
@@ -57,6 +57,8 @@ def _read_config(path: str) -> tuple[dict, Path]:
         raw = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not UTF-8: {exc}") from exc
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -75,6 +77,16 @@ def _config_float(cfg: dict, key: str, default: float) -> float:
     if isinstance(value, bool) or not math.isfinite(number):
         raise UsageError(f"config {key!r} must be a finite number, got {value!r}")
     return number
+
+
+def _status_map(cfg: dict) -> dict | None:
+    mapping = cfg.get("status_map")
+    if mapping is not None and not (
+        isinstance(mapping, dict)
+        and all(type(label) is int and label in (0, 1) for label in mapping.values())
+    ):
+        raise UsageError(f"config 'status_map' must map loan statuses to 0 or 1, got {mapping!r}")
+    return mapping
 
 
 def _resolve(base: Path, p: str) -> Path:
@@ -125,7 +137,7 @@ def _run_pipeline(cfg: dict, base: Path) -> _Pipeline:
     except FileNotFoundError as exc:
         raise DataError(f"input CSV not found: {input_path}") from exc
 
-    terminal = dataset.filter_terminal(raw, cfg.get("status_map"))
+    terminal = dataset.filter_terminal(raw, _status_map(cfg))
     cleaned = dataset.handle_missing(
         dataset.drop_columns(terminal),
         cfg.get("missing_policy", "fill_median_or_mode"),
@@ -145,7 +157,12 @@ def _run_pipeline(cfg: dict, base: Path) -> _Pipeline:
 
 
 def _model_config(cfg: dict, seed: int):
-    spec = dict(cfg.get("model") or {})
+    spec = cfg.get("model")
+    if spec is None:
+        spec = {}
+    if not isinstance(spec, dict):
+        raise UsageError(f"config 'model' must be a JSON object, got {spec!r}")
+    spec = dict(spec)
     kind = spec.pop("kind", "logreg")
     try:
         if kind == "logreg":
@@ -384,38 +401,31 @@ def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
     pd_scores = _predict_pd(kind, model, scaler, pipe.matrix)
     risk_free = _config_float(cfg, "risk_free_rate", 0.0)
 
-    names = pipe.table.names
-    rows = []
-    for i, (row, pd_value) in enumerate(zip(pipe.table.rows, pd_scores)):
-        record = dict(zip(names, row))
-        ead_value = exposure.record_ead(record, cols)
-        rate = recovery.rate_for(record[cols.purpose])
-        quote = exposure.build_quote(float(pd_value), float(ead_value), rate)
-        if ead_value > 0.0:
-            cds_quote = price_for_loan(quote, ead_value.remaining_months / 12.0, risk_free)
-            spread_bps = cds_quote.spread_bps
-        else:
-            # Nothing outstanding: no contract to write on this loan.
-            spread_bps = 0.0
-        rows.append(
-            (
-                i,
-                float(pd_value),
-                quote.ead,
-                quote.recovery_rate,
-                quote.lgd_amount,
-                quote.el,
-                spread_bps,
-            )
+    loans = exposure.table_ead(pipe.table, cols)
+    # Nothing outstanding: no contract to write on the loan, spread 0.
+    live = loans.amount > 0.0
+    stuck = np.flatnonzero(live & (loans.remaining_months == 0))
+    if stuck.size:
+        raise DataError(
+            f"{stuck.size} loan(s) have principal outstanding but 0 remaining months "
+            f"(term 0, or nothing funded), so no CDS maturity; first id {stuck[0]}"
         )
+    rate = exposure.row_recovery_rates(recovery, pipe.table, cols)
+    loss = exposure.lgd(loans.amount, rate)
+    el = exposure.expected_loss(pd_scores, loans.amount, rate)
+    spread_bps = np.zeros(len(pd_scores))
+    spread_bps[live] = fair_spreads(
+        loans.amount[live], loans.remaining_months[live] / 12.0, risk_free, pd_scores[live], rate[live]
+    ).spread_bps
 
+    columns = (pd_scores, loans.amount, rate, loss, el, spread_bps)
     _write_csv(
         out / "pricing.csv",
         ["id", "pd", "ead", "recovery_rate", "lgd", "el", "spread_bps"],
-        rows,
+        zip(range(len(pd_scores)), *(c.tolist() for c in columns)),
     )
     _write_json(out / "recovery.json", recovery.to_json_dict())
-    print(f"wrote {out / 'pricing.csv'} ({len(rows)} rows)")
+    print(f"wrote {out / 'pricing.csv'} ({len(pd_scores)} rows)")
     print(f"wrote {out / 'recovery.json'}")
     return 0
 

@@ -90,7 +90,10 @@ def default_column_specs() -> tuple[ColumnSpec, ...]:
 def load_column_specs(path) -> tuple[ColumnSpec, ...]:
     """Read a JSON array of {name, kind, role} objects."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SchemaError(f"column spec file {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise SchemaError(f"column spec file {path} must hold a JSON array")
     specs = []

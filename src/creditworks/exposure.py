@@ -1,12 +1,23 @@
-"""Recovery rates from charged-off loans, exposure at default, and expected loss."""
+"""Recovery rates from charged-off loans, exposure at default, and expected loss.
+
+Each formula is written once and runs on floats or on numpy arrays (one
+entry per loan): it reaches the few operations that differ (where, ceil,
+finding a bad value, a function per distinct value) through _FloatOps or
+_ArrayOps, picked from its arguments. The float path keeps the per-loan
+entry points (ead, record_ead, build_quote) close to the cost of plain
+arithmetic, where numpy on 0-d arrays would cost ten times more.
+"""
 
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .dataset import STATUS_MAP
+import numpy as np
+
+from .dataset import STATUS_MAP, Categorical
 from .errors import DataError, MissingExposureColumnError
 
 
@@ -29,45 +40,120 @@ class EadResult(float):
         return obj
 
 
-def ead(funded: float, principal_received: float, annual_rate: float, term_months: int) -> EadResult:
+class _FloatOps:
+    """What the formulas need beyond arithmetic and comparison, on floats."""
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    ceil = staticmethod(math.ceil)
+
+    @staticmethod
+    def check(bad, values, what: str) -> None:
+        if bad:
+            raise DataError(f"{what}, got {values}")
+
+    @staticmethod
+    def per_distinct(f, values):
+        return f(values)
+
+
+class _ArrayOps:
+    """The same operations on float64 arrays."""
+
+    where = staticmethod(np.where)
+    ceil = staticmethod(np.ceil)
+
+    @staticmethod
+    def check(bad, values, what: str) -> None:
+        """DataError naming the first of values where bad holds."""
+        if bad.any():
+            raise DataError(f"{what}, got {values[bad][0].item()}")
+
+    @staticmethod
+    def per_distinct(f, values):
+        """f (a function of one float) applied once per distinct value."""
+        distinct, index = np.unique(values.ravel(), return_inverse=True)
+        mapped = np.array([f(v) for v in distinct.tolist()], dtype=np.float64)
+        return mapped[index.reshape(values.shape)]
+
+
+_SEQUENCES = (np.ndarray, list, tuple)
+
+
+def _operands(*values):
+    """The ops for these arguments, and the arguments as floats, or as
+    float64 arrays (which broadcast) if any argument is a sequence."""
+    for v in values:
+        if type(v) is not float and isinstance(v, _SEQUENCES):
+            return _ArrayOps, [np.asarray(u, dtype=np.float64) for u in values]
+    return _FloatOps, list(map(float, values))
+
+
+def _outside_unit(values):
+    return (values < 0.0) | (values > 1.0) | (values != values)  # NaN is outside
+
+
+class Exposure(NamedTuple):
+    """EAD with what pricing needs beside it; floats, or one array entry per loan."""
+
+    amount: np.ndarray
+    remaining_months: np.ndarray  # whole months, 0 where nothing is outstanding
+    clamped: np.ndarray  # received principal exceeded the funded amount
+
+
+def exposure_at_default(funded, principal_received, annual_rate, term_months) -> Exposure:
     """Exposure at default: outstanding principal plus simple interest.
 
     The remaining term is the original term prorated by the unpaid share of
     principal, rounded up to whole months; interest accrues at the note rate
     (a fraction, not percent) on the outstanding amount over that term:
     EAD = outstanding * (1 + annual_rate * remaining_months / 12).
+    Outstanding principal below 0 (overpaid loans) clamps to 0.
     """
-    if funded < 0:
-        raise DataError(f"funded amount must be >= 0, got {funded}")
-    if annual_rate < 0:
-        raise DataError(f"interest rate must be >= 0, got {annual_rate}")
-    if term_months < 0:
-        raise DataError(f"term must be >= 0 months, got {term_months}")
-    outstanding = funded - principal_received
+    ops, (funded, received, rate, term) = _operands(
+        funded, principal_received, annual_rate, term_months
+    )
+    ops.check(funded < 0, funded, "funded amount must be >= 0")
+    ops.check(rate < 0, rate, "interest rate must be >= 0")
+    ops.check(term < 0, term, "term must be >= 0 months")
+    outstanding = funded - received
     clamped = outstanding < 0
-    if clamped:
-        outstanding = 0.0
-    if funded > 0 and outstanding > 0:
-        remaining = math.ceil(term_months * outstanding / funded)
-    else:
-        remaining = 0
-    amount = outstanding * (1.0 + annual_rate * remaining / 12.0)
+    outstanding = ops.where(clamped, 0.0, outstanding)
+    live = (funded > 0) & (outstanding > 0)
+    prorated = term * outstanding / ops.where(live, funded, 1.0)
+    remaining = ops.ceil(ops.where(live, prorated, 0.0))
+    amount = outstanding * (1.0 + rate * remaining / 12.0)
+    return Exposure(amount, remaining, clamped)
+
+
+def ead(funded: float, principal_received: float, annual_rate: float, term_months: int) -> EadResult:
+    """Exposure at default of one loan (see exposure_at_default)."""
+    amount, remaining, clamped = exposure_at_default(
+        funded, principal_received, annual_rate, term_months
+    )
     return EadResult(amount, clamped=clamped, remaining_months=remaining)
 
 
-def lgd(ead_amount: float, recovery_rate: float) -> float:
-    """Loss given default as a currency amount: EAD x (1 - R)."""
-    if not 0.0 <= recovery_rate <= 1.0:
-        raise DataError(f"recovery rate must lie in [0, 1], got {recovery_rate}")
-    if ead_amount < 0:
-        raise DataError(f"EAD must be >= 0, got {ead_amount}")
+def lgd(ead_amount, recovery_rate):
+    """Loss given default as a currency amount: EAD x (1 - R).
+
+    Arrays broadcast; floats give a float.
+    """
+    ops, (ead_amount, recovery_rate) = _operands(ead_amount, recovery_rate)
+    ops.check(_outside_unit(recovery_rate), recovery_rate, "recovery rate must lie in [0, 1]")
+    ops.check(ead_amount < 0, ead_amount, "EAD must be >= 0")
     return ead_amount * (1.0 - recovery_rate)
 
 
-def expected_loss(pd: float, ead_amount: float, recovery_rate: float) -> float:
-    """EL = PD x EAD x (1 - R), the probability-weighted unrecoverable amount."""
-    if not 0.0 <= pd <= 1.0:
-        raise DataError(f"pd must lie in [0, 1], got {pd}")
+def expected_loss(pd, ead_amount, recovery_rate):
+    """EL = PD x EAD x (1 - R), the probability-weighted unrecoverable amount.
+
+    Arrays broadcast; floats give a float.
+    """
+    ops, (pd,) = _operands(pd)
+    ops.check(_outside_unit(pd), pd, "pd must lie in [0, 1]")
     return pd * lgd(ead_amount, recovery_rate)
 
 
@@ -118,8 +204,9 @@ class ExposureColumns:
             self.recoveries,
         )
 
-    def rate_fraction(self, cell: float) -> float:
-        return cell / 100.0 if self.rate_scale == "percent" else float(cell)
+    def rate_fraction(self, cell):
+        """A rate cell, or an array of them, as a fraction."""
+        return cell / 100.0 if self.rate_scale == "percent" else cell
 
 
 @dataclass(frozen=True)
@@ -152,10 +239,35 @@ class RecoveryTable:
         )
 
 
-def _require_columns(table, columns: ExposureColumns):
-    missing = [name for name in columns.required() if not table.has_column(name)]
+def _require_columns(table, names) -> None:
+    missing = [name for name in names if not table.has_column(name)]
     if missing:
         raise MissingExposureColumnError(f"table lacks exposure columns: {missing}")
+
+
+def _distinct(column):
+    """A column as (distinct values, per-row index into them, -1 where missing)."""
+    if isinstance(column, Categorical):
+        return list(column.levels), column.codes
+    distinct, codes = np.unique(column, return_inverse=True)
+    return distinct.tolist(), np.where(np.isnan(column), -1, codes)
+
+
+def _levels(table, name: str):
+    """_distinct of an exposure column, which may not miss a cell."""
+    values, codes = _distinct(table.columns[table.index_of(name)])
+    if (codes < 0).any():
+        raise DataError(f"exposure column {name!r} is missing a value")
+    return values, codes
+
+
+def _numbers(table, name: str) -> np.ndarray:
+    column = table.columns[table.index_of(name)]
+    if isinstance(column, Categorical):
+        raise DataError(f"exposure column {name!r} must be numeric, not {table.spec_for(name).kind}")
+    if np.isnan(column).any():
+        raise DataError(f"exposure column {name!r} is missing a value")
+    return column
 
 
 def record_ead(row: dict, columns: ExposureColumns) -> EadResult:
@@ -173,6 +285,22 @@ def record_ead(row: dict, columns: ExposureColumns) -> EadResult:
     )
 
 
+def table_ead(table, columns: ExposureColumns = ExposureColumns()) -> Exposure:
+    """EAD of every row of a table (see exposure_at_default).
+
+    Each distinct term cell is parsed once by parse_term_months.
+    """
+    _require_columns(table, (columns.funded, columns.principal_received, columns.rate, columns.term))
+    levels, codes = _levels(table, columns.term)
+    months = np.array([parse_term_months(v) for v in levels], dtype=np.float64)
+    return exposure_at_default(
+        _numbers(table, columns.funded),
+        _numbers(table, columns.principal_received),
+        columns.rate_fraction(_numbers(table, columns.rate)),
+        months[codes],
+    )
+
+
 def recovery_rates(table, columns: ExposureColumns = ExposureColumns()) -> RecoveryTable:
     """Estimate recovery rates from the charged-off rows.
 
@@ -180,44 +308,43 @@ def recovery_rates(table, columns: ExposureColumns = ExposureColumns()) -> Recov
     charged-off loans; the overall rate pools every charged-off loan.
     Purposes whose summed exposure is zero fall back to the overall rate.
     Rates are clamped into [0, 1] (recorded recoveries occasionally exceed
-    the computed outstanding exposure).
+    the computed outstanding exposure). Sums run in row order, one loan at
+    a time (np.bincount and np.cumsum; np.sum's pairwise order would move
+    the last bits).
     """
-    _require_columns(table, columns)
+    _require_columns(table, columns.required())
     status_map = table.status_map or STATUS_MAP
     defaulted = {status for status, label in status_map.items() if label == 1}
-    statuses = table.column(table.target_name)
-    charged_off = table.take([i for i, s in enumerate(statuses) if s in defaulted])
-    names = table.names
-
-    sums: dict = {}
-    total_rec = 0.0
-    total_exp = 0.0
-    for row in charged_off.rows:
-        record = dict(zip(names, row))
-        exposure = float(record_ead(record, columns))
-        rec_cell = record[columns.recoveries]
-        if rec_cell is None:
-            raise DataError(f"column {columns.recoveries!r} has a missing value")
-        recovered = float(rec_cell)
-        purpose = record[columns.purpose]
-        acc = sums.setdefault(purpose, [0.0, 0.0])
-        acc[0] += recovered
-        acc[1] += exposure
-        total_rec += recovered
-        total_exp += exposure
-
+    statuses, codes = _distinct(table.columns[table.index_of(table.target_name)])
+    charged_off = table.take(np.array([s in defaulted for s in statuses] + [False])[codes])
     if charged_off.row_count == 0:
         raise DataError("no charged-off rows to estimate recovery rates from")
+
+    exposure = table_ead(charged_off, columns).amount
+    recovered = _numbers(charged_off, columns.recoveries)
+    purposes, codes = _levels(charged_off, columns.purpose)
+    total_rec = float(np.cumsum(recovered)[-1])
+    total_exp = float(np.cumsum(exposure)[-1])
     if total_exp <= 0.0:
         raise DataError("charged-off rows carry zero total exposure")
 
     overall = min(1.0, max(0.0, total_rec / total_exp))
+    sums = zip(
+        purposes,
+        np.bincount(codes, weights=recovered, minlength=len(purposes)).tolist(),
+        np.bincount(codes, weights=exposure, minlength=len(purposes)).tolist(),
+    )
     rates = {
-        purpose: min(1.0, max(0.0, rec / exp))
-        for purpose, (rec, exp) in sums.items()
-        if exp > 0.0
+        purpose: min(1.0, max(0.0, rec / exp)) for purpose, rec, exp in sums if exp > 0.0
     }
     return RecoveryTable(rates=rates, overall_rate=overall)
+
+
+def row_recovery_rates(recovery: RecoveryTable, table, columns: ExposureColumns = ExposureColumns()) -> np.ndarray:
+    """Each row's recovery rate, looked up once per distinct purpose."""
+    _require_columns(table, (columns.purpose,))
+    purposes, codes = _levels(table, columns.purpose)
+    return np.array([recovery.rate_for(p) for p in purposes], dtype=np.float64)[codes]
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ EPS = 1e-12
 def sigmoid(z):
     """Numerically stable logistic function, elementwise on arrays."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) never overflows: it is exp(-z) where z >= 0 and exp(z) below.
+    # minimum(z, -z) rather than -abs(z) so that a NaN keeps its sign bit.
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from creditworks import CdsTerms, build_quote, discount, fair_spread, price_for_loan
+from creditworks.cds import fair_spreads
 from creditworks.errors import DataError
 
 
@@ -154,3 +155,27 @@ def test_price_for_loan_uses_ead_as_notional():
     )
     assert priced.spread_per_annum == direct.spread_per_annum
     assert priced.premium_leg_value == direct.premium_leg_value
+
+
+def test_fair_spreads_has_criterion_09_properties_on_arrays():
+    # Criterion 09's properties, each checked over one array call.
+    base = dict(notional=10_000.0, maturity=1.0, risk_free_rate=0.03, recovery_rate=0.4)
+    zero = fair_spreads(**{**base, "recovery_rate": np.array([0.4, 1.0])}, pd=np.array([0.0, 0.2]))
+    assert zero.spread_per_annum.tolist() == [0.0, 0.0]
+
+    spreads = fair_spreads(**base, pd=np.linspace(0.01, 0.99, 99)).spread_per_annum
+    assert np.all(np.diff(spreads) > 0)
+
+    rng = np.random.default_rng(909)
+    quote = fair_spreads(
+        notional=10_000.0,
+        maturity=rng.uniform(0.5, 5.0, 25),
+        risk_free_rate=0.03,
+        pd=rng.uniform(0.01, 0.99, 25),
+        recovery_rate=rng.uniform(0.0, 0.9, 25),
+    )
+    scale = np.maximum(np.abs(quote.premium_leg_value), np.abs(quote.protection_leg_value))
+    assert np.all(np.abs(quote.premium_leg_value - quote.protection_leg_value) / scale < 1e-9)
+
+    short, long = fair_spreads(**{**base, "maturity": np.array([1.0, 3.0])}, pd=0.2).spread_per_annum
+    assert short > long

@@ -435,3 +435,69 @@ def test_non_finite_exposure_cell_is_data_error(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("creditworks: ") and err.count("\n") == 1, err
     assert "'recoveries'" in err and "line 6" in err, err
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        pytest.param({"term": "0 months"}, id="term-0"),
+        pytest.param({"loan_amnt": 0, "total_rec_prncp": -250.0}, id="unfunded-negative-received"),
+    ],
+)
+def test_price_with_zero_remaining_term_is_data_error(workdir, capsys, cells):
+    rows = make_loan_rows()
+    index = next(i for i, r in enumerate(rows) if r[LOAN_HEADER.index("loan_status")] == "Charged Off")
+    for name, value in cells.items():
+        rows[index][LOAN_HEADER.index(name)] = value
+    write_loans_csv(workdir / "loans.csv", rows)
+    assert run(workdir, "train") == 0
+    capsys.readouterr()
+    assert run(workdir, "price") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: 1 loan(s)") and err.count("\n") == 1, err
+    assert err.rstrip().endswith(f"first id {index}"), err
+    assert not (workdir / "out" / "pricing.csv").exists()
+    assert not (workdir / "out" / "recovery.json").exists()
+
+
+def _write_bytes(name, data):
+    def write(path):
+        (path / name).write_bytes(data)
+    return write
+
+
+@pytest.mark.parametrize(
+    "setup, overrides, code, fragment",
+    [
+        pytest.param(_write_bytes("columns.json", b"{not json"), {"column_spec": "columns.json"},
+                     2, "not valid UTF-8 JSON", id="spec-not-json"),
+        pytest.param(_write_bytes("columns.json", b'[{"name": "caf\xe9"}]'),
+                     {"column_spec": "columns.json"}, 2, "not valid UTF-8 JSON", id="spec-not-utf8"),
+        pytest.param(None, {"status_map": {"Fully Paid": "x", "Charged Off": 1}}, 64, "'status_map'",
+                     id="status-map-string-label"),
+        pytest.param(None, {"status_map": ["Fully Paid"]}, 64, "'status_map'", id="status-map-list"),
+        pytest.param(None, {"status_map": {"Fully Paid": False, "Charged Off": True}}, 64,
+                     "'status_map'", id="status-map-boolean-labels"),
+        pytest.param(None, {"status_map": {"Fully Paid": 0, "Charged Off": 2}}, 64, "'status_map'",
+                     id="status-map-label-2"),
+        pytest.param(None, {"model": [1]}, 64, "'model'", id="model-list"),
+        pytest.param(None, {"model": "logreg"}, 64, "'model'", id="model-string"),
+    ],
+)
+def test_malformed_config_values_exit_with_one_line(workdir, capsys, setup, overrides, code, fragment):
+    if setup is not None:
+        setup(workdir)
+    write_config(workdir / "config.json", **overrides)
+    assert run(workdir, "train") == code
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert fragment in err, err
+
+
+def test_non_utf8_config_is_usage_error(workdir, capsys):
+    path = workdir / "config.json"
+    path.write_bytes(path.read_bytes().replace(b'"out"', b'"\xe9"'))
+    assert run(workdir, "train") == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "not UTF-8" in err, err

@@ -29,6 +29,37 @@ def test_sigmoid_saturates_without_overflow():
     assert sigmoid(-800.0) == pytest.approx(0.0, abs=1e-300)
 
 
+def _masked_sigmoid(z):
+    """The boolean-mask form sigmoid had before, kept as the bit reference."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bits_equal_masked_form():
+    nan_payloads = np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF800000000ABCD],
+        dtype=np.uint64,
+    ).view(np.float64)
+    special = np.concatenate([
+        [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -745.2],
+        nan_payloads,
+    ])
+    random_z = np.random.default_rng(3).normal(0.0, 12.0, 100_000)
+    for z in (special, random_z, random_z.reshape(500, 200)):
+        got = sigmoid(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == _masked_sigmoid(z).tobytes()
+    for z in special:
+        got = sigmoid(np.float64(z))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == _masked_sigmoid(z).tobytes()
+
+
 def test_sigmoid_array_and_symmetry():
     z = np.linspace(-30, 30, 61)
     p = sigmoid(z)

@@ -58,14 +58,12 @@ from .forest import (
     forest_to_json_dict,
     gini,
     information_gain,
-    predict_proba_forest,
 )
 from .logreg import (
     LogregConfig,
     LogregModel,
     bce_loss,
     fit_logreg,
-    gradient,
     loss_and_gradient,
     sigmoid,
 )
@@ -85,79 +83,3 @@ from .metrics import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CdsQuote",
-    "CdsTerms",
-    "discount",
-    "fair_spread",
-    "price_for_loan",
-    "ColumnSpec",
-    "DesignMatrix",
-    "RawLoanTable",
-    "SplitPair",
-    "class_balance",
-    "default_column_specs",
-    "drop_columns",
-    "encode",
-    "filter_terminal",
-    "handle_missing",
-    "load_csv",
-    "split",
-    "CreditworksError",
-    "DataError",
-    "MissingExposureColumnError",
-    "ModelDataMismatchError",
-    "TrainingError",
-    "UsageError",
-    "ExposureColumns",
-    "ExposureQuote",
-    "RecoveryTable",
-    "EadResult",
-    "build_quote",
-    "ead",
-    "expected_loss",
-    "lgd",
-    "parse_term_months",
-    "record_ead",
-    "recovery_rates",
-    "Scaler",
-    "apply_scaler",
-    "correlation_report",
-    "fit_scaler",
-    "pearson",
-    "threshold_counts",
-    "CartParams",
-    "CartTree",
-    "Forest",
-    "ForestConfig",
-    "best_split",
-    "entropy",
-    "fit_cart",
-    "fit_forest",
-    "forest_from_json_dict",
-    "forest_to_json_dict",
-    "gini",
-    "information_gain",
-    "predict_proba_forest",
-    "LogregConfig",
-    "LogregModel",
-    "bce_loss",
-    "fit_logreg",
-    "gradient",
-    "loss_and_gradient",
-    "sigmoid",
-    "ClassificationReport",
-    "ConfusionMatrix",
-    "RocCurve",
-    "confusion",
-    "f1",
-    "f1_from_precision_recall",
-    "precision",
-    "recall",
-    "render_report",
-    "report",
-    "roc",
-    "specificity",
-    "__version__",
-]

@@ -79,6 +79,14 @@ def _config_float(cfg: dict, key: str, default: float) -> float:
     return number
 
 
+def _config_value(cfg: dict, key: str, default, kind: type, what: str):
+    """cfg[key], or default when absent, which must be of type kind."""
+    value = cfg.get(key, default)
+    if type(value) is not kind:
+        raise UsageError(f"config {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _status_map(cfg: dict) -> dict | None:
     mapping = cfg.get("status_map")
     if mapping is not None and not (
@@ -109,11 +117,13 @@ class _Pipeline:
 
 
 def _exposure_columns(cfg: dict) -> exposure.ExposureColumns:
-    overrides = dict(cfg.get("exposure_columns") or {})
-    overrides.setdefault("rate_scale", cfg.get("rate_scale", "percent"))
+    overrides = cfg.get("exposure_columns") or {}
+    if not (isinstance(overrides, dict) and all(isinstance(v, str) for v in overrides.values())):
+        raise UsageError(f"config 'exposure_columns' must map names to strings, got {overrides!r}")
+    overrides = {"rate_scale": cfg.get("rate_scale", "percent"), **overrides}
     try:
         return exposure.ExposureColumns(**overrides)
-    except TypeError as exc:
+    except (TypeError, DataError) as exc:
         raise UsageError(f"bad exposure_columns in config: {exc}") from exc
 
 
@@ -125,15 +135,15 @@ def _run_pipeline(cfg: dict, base: Path) -> _Pipeline:
         raise UsageError("config must pin an integer 'seed'; runs may not self-seed")
 
     if cfg.get("column_spec"):
-        specs = dataset.load_column_specs(_resolve(base, cfg["column_spec"]))
+        spec_path = _config_value(cfg, "column_spec", None, str, "a path")
+        specs = dataset.load_column_specs(_resolve(base, spec_path))
     else:
         specs = dataset.default_column_specs()
 
-    input_path = _resolve(base, cfg["input"])
+    input_path = _resolve(base, _config_value(cfg, "input", None, str, "a path"))
+    allow_extra = _config_value(cfg, "allow_extra_columns", False, bool, "true or false")
     try:
-        raw = dataset.load_csv(
-            input_path, specs, allow_extra=bool(cfg.get("allow_extra_columns", False))
-        )
+        raw = dataset.load_csv(input_path, specs, allow_extra=allow_extra)
     except FileNotFoundError as exc:
         raise DataError(f"input CSV not found: {input_path}") from exc
 
@@ -228,6 +238,8 @@ def _threshold_rules(cfg: dict):
     raw = cfg.get("thresholds")
     if raw is None:
         return features.DEFAULT_THRESHOLD_RULES
+    if not isinstance(raw, list):
+        raise UsageError(f"config 'thresholds' must be a list of rules, got {raw!r}")
     ops = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
     rules = []
     for entry in raw:
@@ -235,7 +247,9 @@ def _threshold_rules(cfg: dict):
             column, op, value = entry["column"], entry["op"], float(entry["value"])
         except (TypeError, KeyError, ValueError) as exc:
             raise UsageError(f"bad threshold rule {entry!r}") from exc
-        if op not in ops:
+        if not isinstance(column, str):
+            raise UsageError(f"bad threshold rule {entry!r}")
+        if not isinstance(op, str) or op not in ops:
             raise UsageError(f"unknown threshold op {op!r}")
         rules.append((column, f"{op} {value:g}", lambda v, f=ops[op], t=value: f(v, t)))
     return tuple(rules)
@@ -463,7 +477,11 @@ def main(argv=None) -> int:
 
     try:
         cfg, base = _read_config(args.config)
-        out = Path(args.out) if args.out else _resolve(base, cfg.get("out_dir", "out"))
+        out = (
+            Path(args.out)
+            if args.out
+            else _resolve(base, _config_value(cfg, "out_dir", "out", str, "a path"))
+        )
         out.mkdir(parents=True, exist_ok=True)
         model_path = Path(args.model) if getattr(args, "model", None) else None
         if args.command == "explore":

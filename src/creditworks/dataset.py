@@ -105,13 +105,6 @@ def load_column_specs(path) -> tuple[ColumnSpec, ...]:
     return validate_schema(specs)
 
 
-def dump_column_specs(specs, path) -> None:
-    payload = [{"name": s.name, "kind": s.kind, "role": s.role} for s in specs]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 @dataclass(frozen=True)
 class Categorical:
     """A non-numeric column: its distinct observed values in sorted order, and
@@ -224,6 +217,24 @@ class RawLoanTable:
 
     def column(self, name: str) -> list:
         return _cells(self.columns[self.index_of(name)])
+
+    def distinct(self, name: str) -> tuple[list, np.ndarray]:
+        """A column as its distinct values (a Categorical's levels, or the
+        sorted numbers) and per row the index of its value among them, -1
+        where the cell is missing."""
+        column = self.columns[self.index_of(name)]
+        if isinstance(column, Categorical):
+            return list(column.levels), column.codes
+        values, codes = np.unique(column, return_inverse=True)  # NaN sorts last
+        return values[~np.isnan(values)].tolist(), np.where(np.isnan(column), -1, codes)
+
+    def labels(self) -> np.ndarray:
+        """Per row the default label that the status map (STATUS_MAP unless
+        the table carries one) gives the loan status: 0 or 1, and -1 where
+        the status is missing or not mapped (a loan still in flight)."""
+        mapping = self.status_map or STATUS_MAP
+        values, codes = self.distinct(self.target_name)
+        return np.array([mapping.get(v, -1) for v in values] + [-1], dtype=np.int64)[codes]
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -420,25 +431,15 @@ def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
     return RawLoanTable(schema=tuple(schema), columns=tuple(p.finish() for p in parsers))
 
 
-def _status_values(table: RawLoanTable):
-    """The target column as (distinct values, per-row index into them, -1 if missing)."""
-    j = table.index_of(table.target_name)
-    column = table.columns[j]
-    if isinstance(column, Categorical):
-        return column.levels, column.codes
-    return table.column(table.target_name), np.arange(len(column))
-
-
 def filter_terminal(table: RawLoanTable, status_map=None) -> RawLoanTable:
     """Keep only rows whose loan status is a terminal outcome (paid or charged off)."""
-    mapping = dict(status_map or STATUS_MAP)
-    values, codes = _status_values(table)
-    keep = np.array([v in mapping for v in values] + [False])[codes]
+    table = replace(table, status_map=dict(status_map or STATUS_MAP))
+    keep = table.labels() >= 0
     if not keep.any():
         raise EmptyDatasetError(
-            f"no rows with a terminal loan status; expected one of {sorted(mapping)}"
+            f"no rows with a terminal loan status; expected one of {sorted(table.status_map)}"
         )
-    return replace(table.take(keep), status_map=mapping)
+    return table.take(keep)
 
 
 def drop_columns(table: RawLoanTable, names=None) -> RawLoanTable:
@@ -557,16 +558,14 @@ def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
     lexicographically first value is the dropped baseline. Single-valued
     columns are dropped and recorded in the report.
     """
-    mapping = table.status_map or STATUS_MAP
-    values, codes = _status_values(table)
-    known = np.array([v in mapping for v in values] + [False])[codes]
-    if not known.all():
-        i = int(np.argmin(known))
+    y = table.labels()
+    if (y < 0).any():
+        i = int(np.argmax(y < 0))
+        values, codes = table.distinct(table.target_name)
         status = values[codes[i]] if codes[i] >= 0 else None
         raise DataError(
             f"row {i} has non-terminal status {status!r}; filter_terminal must run first"
         )
-    y = np.asarray([mapping.get(v, 0) for v in values], dtype=np.int64)[codes]
 
     blocks: list[np.ndarray] = []
     col_names: list[str] = []

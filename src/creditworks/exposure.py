@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import STATUS_MAP, Categorical
 from .errors import DataError, MissingExposureColumnError
 
 
@@ -161,7 +160,10 @@ _TERM_RE = re.compile(r"(\d+)")
 
 
 def parse_term_months(value) -> int:
-    """Term cell to whole months; accepts 36, 36.0 or ' 36 months'."""
+    """Term cell to whole months; accepts 36, 36.0 or ' 36 months'.
+
+    The month count must be a finite float, as the exposure formulas use it.
+    """
     if isinstance(value, (int, float)):
         months = int(value)
         if months != value:
@@ -169,7 +171,7 @@ def parse_term_months(value) -> int:
         return months
     if isinstance(value, str):
         m = _TERM_RE.search(value)
-        if m:
+        if m and math.isfinite(float(m.group(1))):
             return int(m.group(1))
     raise DataError(f"cannot read a term in months from {value!r}")
 
@@ -245,26 +247,19 @@ def _require_columns(table, names) -> None:
         raise MissingExposureColumnError(f"table lacks exposure columns: {missing}")
 
 
-def _distinct(column):
-    """A column as (distinct values, per-row index into them, -1 where missing)."""
-    if isinstance(column, Categorical):
-        return list(column.levels), column.codes
-    distinct, codes = np.unique(column, return_inverse=True)
-    return distinct.tolist(), np.where(np.isnan(column), -1, codes)
-
-
-def _levels(table, name: str):
-    """_distinct of an exposure column, which may not miss a cell."""
-    values, codes = _distinct(table.columns[table.index_of(name)])
+def _codes(table, name: str):
+    """table.distinct of an exposure column, which may not miss a cell."""
+    values, codes = table.distinct(name)
     if (codes < 0).any():
         raise DataError(f"exposure column {name!r} is missing a value")
     return values, codes
 
 
 def _numbers(table, name: str) -> np.ndarray:
+    kind = table.spec_for(name).kind
+    if kind != "numeric":
+        raise DataError(f"exposure column {name!r} must be numeric, not {kind}")
     column = table.columns[table.index_of(name)]
-    if isinstance(column, Categorical):
-        raise DataError(f"exposure column {name!r} must be numeric, not {table.spec_for(name).kind}")
     if np.isnan(column).any():
         raise DataError(f"exposure column {name!r} is missing a value")
     return column
@@ -291,7 +286,7 @@ def table_ead(table, columns: ExposureColumns = ExposureColumns()) -> Exposure:
     Each distinct term cell is parsed once by parse_term_months.
     """
     _require_columns(table, (columns.funded, columns.principal_received, columns.rate, columns.term))
-    levels, codes = _levels(table, columns.term)
+    levels, codes = _codes(table, columns.term)
     months = np.array([parse_term_months(v) for v in levels], dtype=np.float64)
     return exposure_at_default(
         _numbers(table, columns.funded),
@@ -313,16 +308,13 @@ def recovery_rates(table, columns: ExposureColumns = ExposureColumns()) -> Recov
     the last bits).
     """
     _require_columns(table, columns.required())
-    status_map = table.status_map or STATUS_MAP
-    defaulted = {status for status, label in status_map.items() if label == 1}
-    statuses, codes = _distinct(table.columns[table.index_of(table.target_name)])
-    charged_off = table.take(np.array([s in defaulted for s in statuses] + [False])[codes])
+    charged_off = table.take(table.labels() == 1)
     if charged_off.row_count == 0:
         raise DataError("no charged-off rows to estimate recovery rates from")
 
     exposure = table_ead(charged_off, columns).amount
     recovered = _numbers(charged_off, columns.recoveries)
-    purposes, codes = _levels(charged_off, columns.purpose)
+    purposes, codes = _codes(charged_off, columns.purpose)
     total_rec = float(np.cumsum(recovered)[-1])
     total_exp = float(np.cumsum(exposure)[-1])
     if total_exp <= 0.0:
@@ -343,7 +335,7 @@ def recovery_rates(table, columns: ExposureColumns = ExposureColumns()) -> Recov
 def row_recovery_rates(recovery: RecoveryTable, table, columns: ExposureColumns = ExposureColumns()) -> np.ndarray:
     """Each row's recovery rate, looked up once per distinct purpose."""
     _require_columns(table, (columns.purpose,))
-    purposes, codes = _levels(table, columns.purpose)
+    purposes, codes = _codes(table, columns.purpose)
     return np.array([recovery.rate_for(p) for p in purposes], dtype=np.float64)[codes]
 
 

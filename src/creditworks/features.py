@@ -89,16 +89,6 @@ class Scaler:
             )
         return (x - self.mean) / self.scale
 
-    def inverse_transform(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim == 1:
-            z = z.reshape(1, -1)
-        if z.shape[1] != self.mean.shape[0]:
-            raise DataError(
-                f"scaler fitted on {self.mean.shape[0]} columns, got {z.shape[1]}"
-            )
-        return z * self.scale + self.mean
-
     def to_json_dict(self) -> dict:
         return {
             "columns": list(self.columns),
@@ -142,12 +132,18 @@ DEFAULT_THRESHOLD_RULES = (
 
 
 def threshold_counts(table, rules=DEFAULT_THRESHOLD_RULES) -> tuple[tuple[str, str, int], ...]:
-    """Count rows exceeding each screening rule; unknown columns count as absent."""
+    """Count rows exceeding each screening rule; unknown columns count as absent.
+
+    A predicate sees the whole numeric column, NaN where a cell is missing,
+    and must be false there. A rule on a non-numeric column is a DataError.
+    """
     out = []
     for name, label, pred in rules:
         if not table.has_column(name):
             continue
-        cells = table.column(name)
-        hits = sum(1 for c in cells if c is not None and pred(c))
-        out.append((name, label, hits))
+        kind = table.spec_for(name).kind
+        if kind != "numeric":
+            raise DataError(f"threshold column {name!r} must be numeric, not {kind}")
+        hits = np.count_nonzero(pred(table.columns[table.index_of(name)]))
+        out.append((name, label, int(hits)))
     return tuple(out)

@@ -409,13 +409,6 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     )
 
 
-def predict_proba_forest(forest: Forest, x):
-    """Mean of the trees' leaf probabilities; scalar for a single sample."""
-    single = np.asarray(x).ndim == 1
-    probs = forest.predict_proba(x)
-    return float(probs[0]) if single else probs
-
-
 FOREST_FORMAT = "cart-arrays-1"
 
 

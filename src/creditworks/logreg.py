@@ -61,12 +61,6 @@ def loss_and_gradient(x, y, weights, bias, l2=0.0):
     return loss, grad_w, grad_b
 
 
-def gradient(x, y, weights, bias, l2=0.0):
-    """Gradient of the loss alone: (Xᵀ(p−y)/n + l2·w, mean(p−y))."""
-    _, grad_w, grad_b = loss_and_gradient(x, y, weights, bias, l2)
-    return grad_w, grad_b
-
-
 @dataclass(frozen=True)
 class LogregConfig:
     learning_rate: float = 0.1

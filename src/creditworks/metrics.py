@@ -11,26 +11,9 @@ import numpy as np
 from .errors import DataError
 
 
-class Score(float):
-    """A metric value that remembers whether it came from a 0/0 cell.
-
-    Degenerate cells (say precision with no positive predictions) are
-    reported as 0.0 so averages and tables stay total, but the flag keeps
-    the distinction between a true zero and an undefined one.
-    """
-
-    degenerate: bool
-
-    def __new__(cls, value: float, degenerate: bool = False):
-        obj = super().__new__(cls, value)
-        obj.degenerate = degenerate
-        return obj
-
-
-def _ratio(num: int, den: int) -> Score:
-    if den == 0:
-        return Score(0.0, degenerate=True)
-    return Score(num / den)
+def _ratio(num: int, den: int) -> float:
+    """num / den, or 0.0 for an undefined 0/0 cell (see ClassScores.degenerate)."""
+    return num / den if den else 0.0
 
 
 @dataclass(frozen=True)
@@ -80,32 +63,30 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
-def precision(cm: ConfusionMatrix) -> Score:
+def precision(cm: ConfusionMatrix) -> float:
     return _ratio(cm.tp, cm.tp + cm.fp)
 
 
-def recall(cm: ConfusionMatrix) -> Score:
+def recall(cm: ConfusionMatrix) -> float:
     return _ratio(cm.tp, cm.tp + cm.fn)
 
 
-def specificity(cm: ConfusionMatrix) -> Score:
+def specificity(cm: ConfusionMatrix) -> float:
     return _ratio(cm.tn, cm.fp + cm.tn)
 
 
-def f1_from_precision_recall(p: float, r: float) -> Score:
-    """Harmonic mean 2PR/(P+R); degenerate when both inputs are zero."""
+def f1_from_precision_recall(p: float, r: float) -> float:
+    """Harmonic mean 2PR/(P+R); 0.0 (undefined) when both inputs are zero."""
     if p < 0 or r < 0:
         raise DataError("precision and recall must be >= 0")
-    if p + r == 0:
-        return Score(0.0, degenerate=True)
-    return Score(2.0 * p * r / (p + r))
+    return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
-def f1(cm: ConfusionMatrix) -> Score:
+def f1(cm: ConfusionMatrix) -> float:
     return f1_from_precision_recall(precision(cm), recall(cm))
 
 
-def accuracy(cm: ConfusionMatrix) -> Score:
+def accuracy(cm: ConfusionMatrix) -> float:
     return _ratio(cm.tp + cm.tn, cm.total)
 
 
@@ -117,24 +98,30 @@ class ScoreTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class ClassScores:
-    precision: Score
-    recall: Score
-    f1: Score
+    """One class's scores, with that class taken as the positive one.
+
+    degenerate names, sorted, the scores whose denominator was zero:
+    precision with no positive predictions, recall with no positive rows,
+    f1 with precision + recall = 0. Those read 0.0 so averages and tables
+    stay total; the names keep a true zero apart from an undefined one.
+    """
+
+    precision: float
+    recall: float
+    f1: float
     support: int
+    degenerate: tuple[str, ...]
+
+    @classmethod
+    def of(cls, cm: ConfusionMatrix) -> "ClassScores":
+        p, r = precision(cm), recall(cm)
+        denominators = (cm.tp + cm.fp, cm.tp + cm.fn, p + r)
+        flags = sorted(name for name, den in zip(ScoreTriple._fields, denominators) if den == 0)
+        return cls(p, r, f1_from_precision_recall(p, r), cm.tp + cm.fn, tuple(flags))
 
     def to_json_dict(self) -> dict:
-        flags = sorted(
-            name
-            for name in ("precision", "recall", "f1")
-            if getattr(self, name).degenerate
-        )
-        return {
-            "precision": float(self.precision),
-            "recall": float(self.recall),
-            "f1": float(self.f1),
-            "support": self.support,
-            "degenerate": flags,
-        }
+        scores = {name: getattr(self, name) for name in ScoreTriple._fields}
+        return {**scores, "support": self.support, "degenerate": list(self.degenerate)}
 
 
 @dataclass(frozen=True)
@@ -157,47 +144,25 @@ class ClassificationReport:
             "confusion": self.confusion.to_json_dict(),
             "class0": self.class0.to_json_dict(),
             "class1": self.class1.to_json_dict(),
-            "accuracy": float(self.accuracy),
-            "macro": {
-                "precision": float(self.macro.precision),
-                "recall": float(self.macro.recall),
-                "f1": float(self.macro.f1),
-            },
-            "weighted": {
-                "precision": float(self.weighted.precision),
-                "recall": float(self.weighted.recall),
-                "f1": float(self.weighted.f1),
-            },
+            "accuracy": self.accuracy,
+            "macro": self.macro._asdict(),
+            "weighted": self.weighted._asdict(),
         }
 
 
 def report(y_true, y_pred) -> ClassificationReport:
     cm = confusion(y_true, y_pred)
-    swapped = cm.swapped()
-    c1 = ClassScores(precision(cm), recall(cm), f1(cm), support=cm.tp + cm.fn)
-    c0 = ClassScores(
-        precision(swapped), recall(swapped), f1(swapped), support=cm.tn + cm.fp
-    )
-    total = cm.total
-    w0 = c0.support / total
-    w1 = c1.support / total
-    macro = ScoreTriple(
-        (c0.precision + c1.precision) / 2.0,
-        (c0.recall + c1.recall) / 2.0,
-        (c0.f1 + c1.f1) / 2.0,
-    )
-    weighted = ScoreTriple(
-        w0 * c0.precision + w1 * c1.precision,
-        w0 * c0.recall + w1 * c1.recall,
-        w0 * c0.f1 + w1 * c1.f1,
-    )
+    c0, c1 = ClassScores.of(cm.swapped()), ClassScores.of(cm)
+    w0 = c0.support / cm.total
+    w1 = c1.support / cm.total
+    pairs = [(getattr(c0, name), getattr(c1, name)) for name in ScoreTriple._fields]
     return ClassificationReport(
         confusion=cm,
         class0=c0,
         class1=c1,
-        accuracy=float(accuracy(cm)),
-        macro=macro,
-        weighted=weighted,
+        accuracy=accuracy(cm),
+        macro=ScoreTriple(*((v0 + v1) / 2.0 for v0, v1 in pairs)),
+        weighted=ScoreTriple(*(w0 * v0 + w1 * v1 for v0, v1 in pairs)),
     )
 
 
@@ -209,25 +174,13 @@ def render_report(rep: ClassificationReport) -> str:
     single accuracy value on every row.
     """
     header = ["", "0.0", "1.0", "Accuracy", "Macro Average", "Weighted Average"]
-    acc = f"{rep.accuracy:.2f}"
-    body = [
-        ["Precision"]
-        + [
-            f"{v:.2f}"
-            for v in (
-                rep.class0.precision,
-                rep.class1.precision,
-            )
-        ]
-        + [acc, f"{rep.macro.precision:.2f}", f"{rep.weighted.precision:.2f}"],
-        ["Recall"]
-        + [f"{v:.2f}" for v in (rep.class0.recall, rep.class1.recall)]
-        + [acc, f"{rep.macro.recall:.2f}", f"{rep.weighted.recall:.2f}"],
-        ["f1-score"]
-        + [f"{v:.2f}" for v in (rep.class0.f1, rep.class1.f1)]
-        + [acc, f"{rep.macro.f1:.2f}", f"{rep.weighted.f1:.2f}"],
+    rows = [header] + [
+        [label]
+        + [f"{getattr(s, name):.2f}" for s in (rep.class0, rep.class1)]
+        + [f"{rep.accuracy:.2f}"]
+        + [f"{getattr(s, name):.2f}" for s in (rep.macro, rep.weighted)]
+        for name, label in zip(ScoreTriple._fields, ("Precision", "Recall", "f1-score"))
     ]
-    rows = [header] + body
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []
     for r in rows:

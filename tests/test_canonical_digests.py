@@ -1,0 +1,82 @@
+"""Golden digests: every artifact of the six commands, byte for byte.
+
+Runs explore, prepare, train, evaluate, score and price under
+CREDITWORKS_CANONICAL=1 on the shared synthetic book, once with the
+logistic config and once with a 5-tree forest, and compares the sha256 of
+each file the commands write with the digests below. A refactor must leave
+them all unchanged; a change that alters bytes on purpose updates the
+digests here and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import write_config, write_loans_csv
+from creditworks.cli import main
+
+COMMANDS = ("explore", "prepare", "train", "evaluate", "score", "price")
+
+# Artifacts that do not depend on the model kind.
+SHARED = {
+    "correlation.csv": "5a9dfa2893f6c37b015ec884fe3cbc338b9378321a1f4fec1239a53702625d14",
+    "prepared/columns.json": "906fe50a82b6bd424467be67a3da96380a0dcec58f885b8588ef28f7cf2ab155",
+    "prepared/encode_report.json": "ac8a1251e2b7795947f22379054d50951097ef386eb2a28067a5f1c34af4a1aa",
+    "prepared/scaler.json": "820f3b6bfabe2fa781d98cbaee2aea4b3fa864228a9f1112ee6436f7726a708f",
+    "prepared/x_test.npy": "1f8a88fc77ac474bff8b191f53c6f1461509fd7b26ed6cc4aefa43249f9bb1e2",
+    "prepared/x_train.npy": "c60891f9d265e03d11262db6dd3eb8e2d668564f3dec70b97be13a753329e4e9",
+    "prepared/y_test.npy": "5838d6ee1fb6663c511f8b44e357f8a47ca00d2240c035c23f72a81b9673aca7",
+    "prepared/y_train.npy": "f157dc91bc491198011be1ca1848586cd1a3e01f5225e14a552c4dc6fc2d4a08",
+    "recovery.json": "f1bb8ec53a68a1bb4d2243be12abbb146ec9f1f0e4c4874eff819cd0874853e8",
+    "summary.json": "4f3d366501da7c7cfb5715d27ae20f85a7bf3f6e6996a9f963ed6fa9ae0e4239",
+}
+
+CASES = {
+    "logreg": (
+        None,
+        {
+            "comparison.json": "4bbe4641ab230acabb8572ecec598791b481c5e245ac2a59d5dcf8ae0cbe6cf5",
+            "model.json": "49f8ea28e017d5778c332a6bbd0a2b174bf209a09e4d455c4eb738b0b415a2d6",
+            "pricing.csv": "60b5f4033f45afb4a423e8320aa85e57aec26778b9a2a8b29ae3de2c73793418",
+            "report.json": "eecf61ea5d60b06a33523c059332aa50135cceca1320f20ca30ce36b251c1509",
+            "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
+            "roc.csv": "98d98692aabb934ea3771f6024f62731c0a2cff6f4969f02209e7726e473052a",
+            "scores.csv": "54f9dd3c71bd201d54566fe561958685ca7adee58a2037a357ce3cb5aa06d25f",
+            "training_log.json": "9ea86f9e294aab1c063143058ad29f33444c45b53f281a2492627669e86a184a",
+        },
+    ),
+    "forest": (
+        {"kind": "forest", "n_trees": 5, "max_depth": 4},
+        {
+            "comparison.json": "4c66f08c291f0cc9b6ec10109e0f967353865b575fa80b7acf7d483ef5a071e8",
+            "model.json": "cdaec04965606b78eeb64f30d27093037f0086334bdfc14e6c22a967ca5ff75c",
+            "pricing.csv": "1ae587e5c67ff3c8a767174b078f37c452c11d8383915ade55e3ca435d64a9a2",
+            "report.json": "9d10600641f6b2d80666d72a494b09a9d3980109e21665be1932380e7ec3fcbc",
+            "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
+            "roc.csv": "b0d40914f52389a23994c3f70704be9e430799a97ed824c626647480bcee99e3",
+            "scores.csv": "a80e339b572fa70db64778f2b117432079d100bb142e5b02d67675b79ca06489",
+            "training_log.json": "12cc85ed1b3670d670b69297d2407ad5d23eee85d7f19f0d7d42906e9dbb63c6",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_all_artifacts_match_golden_digests(tmp_path, monkeypatch, kind):
+    monkeypatch.setenv("CREDITWORKS_CANONICAL", "1")
+    model, own = CASES[kind]
+    write_loans_csv(tmp_path / "loans.csv")
+    write_config(tmp_path / "config.json", **({} if model is None else {"model": model}))
+    for command in COMMANDS:
+        assert main([command, "--config", str(tmp_path / "config.json")]) == 0, command
+
+    out = tmp_path / "out"
+    digests = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    expected = {**SHARED, **own}
+    assert sorted(digests) == sorted(expected)
+    changed = sorted(name for name in expected if digests[name] != expected[name])
+    assert changed == [], f"artifacts changed bytes: {changed}"

@@ -417,6 +417,59 @@ def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overr
     assert key in err, err
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        pytest.param("explore", {"thresholds": 5}, "'thresholds'", id="thresholds-number"),
+        pytest.param("explore", {"thresholds": [{"column": 1, "op": ">", "value": 1}]}, "threshold",
+                     id="threshold-column-number"),
+        pytest.param("explore", {"thresholds": [{"column": "dti", "op": [">"], "value": 1}]},
+                     "threshold op", id="threshold-op-list"),
+        pytest.param("train", {"exposure_columns": [1]}, "'exposure_columns'", id="exposure-columns-list"),
+        pytest.param("train", {"exposure_columns": "abc"}, "'exposure_columns'",
+                     id="exposure-columns-string"),
+        pytest.param("train", {"exposure_columns": {"funded": 5}}, "'exposure_columns'",
+                     id="exposure-column-number"),
+        pytest.param("train", {"rate_scale": "basis points"}, "rate_scale", id="rate-scale-unknown"),
+        pytest.param("train", {"column_spec": 5}, "'column_spec'", id="column-spec-number"),
+        pytest.param("train", {"input": 5}, "'input'", id="input-number"),
+        pytest.param("train", {"out_dir": 5}, "'out_dir'", id="out-dir-number"),
+        pytest.param("train", {"allow_extra_columns": "no"}, "'allow_extra_columns'",
+                     id="allow-extra-columns-string"),
+    ],
+)
+def test_wrongly_typed_config_value_is_usage_error(workdir, capsys, command, overrides, key):
+    write_config(workdir / "config.json", **overrides)
+    assert run(workdir, command) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert key in err, err
+    assert not (workdir / "out" / "model.json").exists()
+
+
+def test_threshold_rule_on_non_numeric_column_is_data_error(workdir, capsys):
+    write_config(workdir / "config.json", thresholds=[{"column": "purpose", "op": ">", "value": 1}])
+    assert run(workdir, "explore") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "'purpose'" in err, err
+    assert not (workdir / "out" / "summary.json").exists()
+
+
+def test_price_with_term_beyond_float_range_is_data_error(workdir, capsys):
+    rows = make_loan_rows()
+    huge = " 1" + "0" * 400 + " months"
+    rows[3][LOAN_HEADER.index("term")] = huge
+    write_loans_csv(workdir / "loans.csv", rows)
+    assert run(workdir, "train") == 0
+    capsys.readouterr()
+    assert run(workdir, "price") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert f"cannot read a term in months from {huge.strip()!r}" in err, err
+    assert not (workdir / "out" / "pricing.csv").exists()
+
+
 def test_non_utf8_csv_is_data_error(workdir, capsys):
     data = (workdir / "loans.csv").read_bytes()
     offset = data.index(b"eng")  # an emp_title cell

@@ -175,6 +175,29 @@ def test_filter_terminal_mixed_count_matches_hand_tally():
     assert table.row_count == expected == 5
 
 
+def test_labels_mark_missing_and_in_flight_statuses():
+    table = _status_table(["Fully Paid", None, "Current", "Charged Off"])
+    assert table.labels().tolist() == [0, -1, -1, 1]
+    assert filter_terminal(table).column("loan_status") == ["Fully Paid", "Charged Off"]
+    with pytest.raises(DataError, match="row 1 has non-terminal status None"):
+        encode(table)
+    custom = filter_terminal(table, {"Current": 1, "Fully Paid": 0})
+    assert custom.labels().tolist() == [0, 1]
+
+
+def test_distinct_gives_values_and_codes_for_every_kind():
+    table = build_table(
+        [("v", "numeric", "feature"), ("p", "text", "target")],
+        [(2.5, "b"), (None, None), (-1.0, "a"), (2.5, "b")],
+    )
+    values, codes = table.distinct("v")
+    assert values == [-1.0, 2.5]
+    assert codes.tolist() == [1, -1, 0, 1]
+    values, codes = table.distinct("p")
+    assert values == ["a", "b"]
+    assert codes.tolist() == [1, -1, 0, 1]
+
+
 def test_filter_terminal_idempotent():
     once = filter_terminal(_status_table(["Fully Paid", "Current", "Charged Off"]))
     twice = filter_terminal(once)

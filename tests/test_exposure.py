@@ -150,6 +150,13 @@ def test_parse_term_months():
         parse_term_months(None)
 
 
+def test_parse_term_months_rejects_a_count_beyond_float_range():
+    huge = " 1" + "0" * 400 + " months"
+    with pytest.raises(DataError, match="cannot read a term in months from ' 1000"):
+        parse_term_months(huge)
+    assert parse_term_months(" 1" + "0" * 300 + " months") == 10**300
+
+
 def test_record_ead_reads_row():
     row = {
         "loan_amnt": 10_000.0,

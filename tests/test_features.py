@@ -131,14 +131,6 @@ def test_scaler_foreign_rows_not_centered():
     assert abs(out.x.mean()) > 1.0
 
 
-def test_scaler_inverse_roundtrip():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(30, 3)) * np.array([1.0, 10.0, 0.1])
-    matrix = DesignMatrix(columns=("a", "b", "c"), x=x, y=(rng.random(30) < 0.5).astype(int))
-    scaler = fit_scaler(matrix)
-    assert np.allclose(scaler.inverse_transform(scaler.transform(x)), x, atol=1e-12)
-
-
 def test_scaler_json_roundtrip():
     matrix = DesignMatrix(columns=("v",), x=np.array([[2.0], [4.0]]), y=np.array([0, 1]))
     scaler = fit_scaler(matrix)

@@ -18,7 +18,6 @@ from creditworks import (
     forest_to_json_dict,
     gini,
     information_gain,
-    predict_proba_forest,
 )
 from creditworks.errors import DataError, TrainingError
 from creditworks.forest import CRITERIA, TREE_ARRAYS
@@ -397,8 +396,9 @@ def test_predict_proba_forest_averages_trees():
 
     trees = (leaf_tree(0.2), leaf_tree(0.6))
     forest = Forest(trees=trees, seed=0, bootstrap=False, columns=("a",))
-    p = predict_proba_forest(forest, np.array([1.0]))
-    assert p == pytest.approx(0.4, abs=1e-15)
+    p = forest.predict_proba(np.array([[1.0]]))
+    assert p.shape == (1,)
+    assert p[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_predict_proba_forest_five_tree_hand_average():
@@ -414,7 +414,7 @@ def test_predict_proba_forest_unanimous():
     y = np.ones(4, dtype=np.int64)
     trees = tuple(fit_cart(x, y, CartParams()) for _ in range(3))
     forest = Forest(trees=trees, seed=0, bootstrap=False, columns=("a",))
-    assert predict_proba_forest(forest, np.array([0.0])) == 1.0
+    assert forest.predict_proba(np.array([[0.0]])).tolist() == [1.0]
 
 
 def test_forest_serialization_roundtrip():

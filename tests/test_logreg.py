@@ -9,7 +9,6 @@ from creditworks import (
     LogregModel,
     bce_loss,
     fit_logreg,
-    gradient,
     loss_and_gradient,
     sigmoid,
 )
@@ -114,7 +113,7 @@ def test_loss_hand_fixture():
 
 
 def test_gradient_single_row_exact():
-    grad_w, grad_b = gradient(np.array([[1.0]]), np.array([1]), np.array([0.0]), 0.0)
+    _, grad_w, grad_b = loss_and_gradient(np.array([[1.0]]), np.array([1]), np.array([0.0]), 0.0)
     assert grad_w[0] == -0.5
     assert grad_b == -0.5
 
@@ -122,7 +121,7 @@ def test_gradient_single_row_exact():
 def test_gradient_vanishes_at_perfect_fit():
     x = np.array([[50.0], [-50.0]])
     y = np.array([1, 0])
-    grad_w, grad_b = gradient(x, y, np.array([5.0]), 0.0)
+    _, grad_w, grad_b = loss_and_gradient(x, y, np.array([5.0]), 0.0)
     assert abs(grad_w[0]) < 1e-12
     assert abs(grad_b) < 1e-12
 

@@ -12,7 +12,7 @@ from creditworks import (
     roc,
 )
 from creditworks.errors import DataError
-from creditworks.metrics import accuracy, specificity
+from creditworks.metrics import ClassScores, accuracy, specificity
 
 
 def test_confusion_minimal():
@@ -70,10 +70,12 @@ def test_precision_recall_values_and_flags():
     assert precision(cm) == 0.5
     assert recall(cm) == 0.5
     empty_pred = confusion([1, 1, 1, 1, 1, 0], [0, 0, 0, 0, 0, 0])
-    p = precision(empty_pred)
-    assert p == 0.0 and p.degenerate
-    r = recall(empty_pred)
-    assert r == 0.0 and not r.degenerate
+    assert precision(empty_pred) == 0.0
+    assert recall(empty_pred) == 0.0
+    assert type(precision(empty_pred)) is float and type(f1(empty_pred)) is float
+    scores = ClassScores.of(empty_pred)
+    assert "precision" in scores.degenerate
+    assert "recall" not in scores.degenerate
 
 
 def test_specificity_values():
@@ -82,8 +84,9 @@ def test_specificity_values():
     cm = confusion([0, 0, 0, 0, 1], [0, 0, 0, 1, 1])
     assert specificity(cm) == 0.75
     all_pos = confusion([1, 1], [1, 0])
-    s = specificity(all_pos)
-    assert s == 0.0 and s.degenerate
+    assert specificity(all_pos) == 0.0
+    # Specificity is class 0's recall: no class-0 rows makes it undefined.
+    assert "recall" in ClassScores.of(all_pos.swapped()).degenerate
 
 
 def test_f1_from_precision_recall_hand_value():
@@ -93,8 +96,14 @@ def test_f1_from_precision_recall_hand_value():
 
 
 def test_f1_degenerate_when_both_zero():
-    value = f1_from_precision_recall(0.0, 0.0)
-    assert value == 0.0 and value.degenerate
+    assert f1_from_precision_recall(0.0, 0.0) == 0.0
+    # Neither prediction is positive and no row is: p = r = 0, so f1 is 0/0.
+    scores = ClassScores.of(confusion([0, 0], [0, 0]))
+    assert (scores.precision, scores.recall, scores.f1) == (0.0, 0.0, 0.0)
+    assert scores.degenerate == ("f1", "precision", "recall")
+    # p = r = 0 from defined ratios still leaves f1 undefined.
+    scores = ClassScores.of(confusion([1, 0], [0, 1]))
+    assert scores.degenerate == ("f1",)
 
 
 def test_f1_properties():
@@ -134,7 +143,9 @@ def test_report_perfect_predictions():
 
 def test_report_single_class_predictions_flag_degenerate():
     rep = report([0, 1, 0, 1], [0, 0, 0, 0])
-    assert rep.class1.precision.degenerate
+    flags = rep.to_json_dict()
+    assert flags["class1"]["degenerate"] == ["f1", "precision"]
+    assert flags["class0"]["degenerate"] == []
     assert float(rep.class1.recall) == 0.0
     assert float(rep.class0.recall) == 1.0
 

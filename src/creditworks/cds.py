@@ -25,7 +25,12 @@ def discount(rate: float, t: float) -> float:
     """Continuously compounded discount factor exp(-rate * t)."""
     if t < 0:
         raise DataError(f"time must be >= 0, got {t}")
-    return math.exp(-rate * t)
+    try:
+        return math.exp(-rate * t)
+    except OverflowError as exc:
+        raise DataError(
+            f"discount factor at rate {rate} over {t} years is beyond the float range"
+        ) from exc
 
 
 def _check_terms(ops, notional, maturity, pd, recovery_rate) -> None:
@@ -64,8 +69,9 @@ def fair_spreads(notional, maturity, risk_free_rate: float, pd, recovery_rate) -
     notional, maturity (years), pd and recovery_rate are floats or arrays
     (which broadcast); risk_free_rate is one rate for every contract. The
     annuity is strictly positive for any maturity > 0 (whichever of the
-    survival and default branches has weight, its time factor is positive),
-    so the quotient is always defined; pd = 0 and R = 1 give exactly 0.
+    survival and default branches has weight, its time factor is positive)
+    unless the discount factors leave the float range, which raises
+    DataError; pd = 0 and R = 1 give exactly 0.
 
     Over arrays, the discount factors are still computed by discount()
     (math.exp), once per distinct maturity, so they match the float path
@@ -84,6 +90,8 @@ def _spreads(ops, notional, maturity, risk_free_rate, pd, recovery_rate) -> CdsQ
     d_mat = ops.per_distinct(lambda t: discount(risk_free_rate, t), maturity)
     protection_unit = (1.0 - recovery_rate) * pd * d_tau
     annuity_unit = (1.0 - pd) * maturity * d_mat + pd * tau * d_tau
+    bad = (annuity_unit <= 0.0) | (annuity_unit >= math.inf) | (annuity_unit != annuity_unit)
+    ops.check(bad, maturity, "premium annuity is not a positive finite number at maturity (years)")
     spread = protection_unit / annuity_unit
     return CdsQuote(
         spread_per_annum=spread,

@@ -18,7 +18,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,12 +36,8 @@ from .errors import (
 DEFAULT_MODEL_FILE = "model.json"
 
 
-def _canonical() -> bool:
-    return os.environ.get("CREDITWORKS_CANONICAL") == "1"
-
-
 def _stamp() -> dict:
-    if _canonical():
+    if os.environ.get("CREDITWORKS_CANONICAL") == "1":
         return {}
     return {"generated_at": datetime.now(timezone.utc).isoformat()}
 
@@ -87,33 +82,18 @@ def _config_value(cfg: dict, key: str, default, kind: type, what: str):
     return value
 
 
-def _status_map(cfg: dict) -> dict | None:
+def _status_map(cfg: dict) -> None:
     mapping = cfg.get("status_map")
     if mapping is not None and not (
         isinstance(mapping, dict)
         and all(type(label) is int and label in (0, 1) for label in mapping.values())
     ):
         raise UsageError(f"config 'status_map' must map loan statuses to 0 or 1, got {mapping!r}")
-    return mapping
 
 
 def _resolve(base: Path, p: str) -> Path:
     path = Path(p)
     return path if path.is_absolute() else base / path
-
-
-@dataclass
-class _Pipeline:
-    """Everything the commands share, computed once per invocation."""
-
-    terminal: dataset.RawLoanTable
-    table: dataset.RawLoanTable
-    matrix: dataset.DesignMatrix
-    encode_report: dataset.EncodeReport
-    pair: dataset.SplitPair
-    scaler: features.Scaler
-    exposure_columns: exposure.ExposureColumns
-    seed: int
 
 
 def _exposure_columns(cfg: dict) -> exposure.ExposureColumns:
@@ -127,43 +107,54 @@ def _exposure_columns(cfg: dict) -> exposure.ExposureColumns:
         raise UsageError(f"bad exposure_columns in config: {exc}") from exc
 
 
-def _run_pipeline(cfg: dict, base: Path) -> _Pipeline:
-    if "input" not in cfg:
-        raise UsageError("config must name an input CSV under the 'input' key")
-    seed = cfg.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise UsageError("config must pin an integer 'seed'; runs may not self-seed")
-
+def _check_config(cfg: dict) -> None:
+    """Check every key any command reads, so that a config is valid or not
+    whatever the command, before any input is read or output written."""
+    _config_value(cfg, "input", None, str, "the path of the input CSV")
+    seed = _config_value(cfg, "seed", None, int, "an integer (runs may not self-seed)")
     if cfg.get("column_spec"):
-        spec_path = _config_value(cfg, "column_spec", None, str, "a path")
-        specs = dataset.load_column_specs(_resolve(base, spec_path))
+        _config_value(cfg, "column_spec", None, str, "a path")
+    _config_value(cfg, "out_dir", "out", str, "a path")
+    _config_value(cfg, "allow_extra_columns", False, bool, "true or false")
+    _status_map(cfg)
+    policy = cfg.get("missing_policy", "fill_median_or_mode")
+    if policy not in dataset.MISSING_POLICIES:
+        raise UsageError(
+            f"config 'missing_policy' must be one of {dataset.MISSING_POLICIES}, got {policy!r}"
+        )
+    fraction = _config_float(cfg, "test_fraction", 0.2)
+    if not 0.0 < fraction < 1.0:
+        raise UsageError(f"config 'test_fraction' must lie in (0, 1), got {fraction}")
+    _config_float(cfg, "risk_free_rate", 0.0)
+    _exposure_columns(cfg)
+    _threshold_rules(cfg)
+    _model_config(cfg, seed)
+
+
+def _load(cfg: dict, base: Path):
+    """Parse, terminal filter, drop, fill and encode the input CSV of a
+    checked config. Returns (terminal table, cleaned table, matrix, encode report)."""
+    if cfg.get("column_spec"):
+        specs = dataset.load_column_specs(_resolve(base, cfg["column_spec"]))
     else:
         specs = dataset.default_column_specs()
-
-    input_path = _resolve(base, _config_value(cfg, "input", None, str, "a path"))
-    allow_extra = _config_value(cfg, "allow_extra_columns", False, bool, "true or false")
+    input_path = _resolve(base, cfg["input"])
     try:
-        raw = dataset.load_csv(input_path, specs, allow_extra=allow_extra)
+        raw = dataset.load_csv(input_path, specs, allow_extra=cfg.get("allow_extra_columns", False))
     except FileNotFoundError as exc:
         raise DataError(f"input CSV not found: {input_path}") from exc
 
-    terminal = dataset.filter_terminal(raw, _status_map(cfg))
+    terminal = dataset.filter_terminal(raw, cfg.get("status_map"))
     cleaned = dataset.handle_missing(
         dataset.drop_columns(terminal),
         cfg.get("missing_policy", "fill_median_or_mode"),
     )
     matrix, encode_report = dataset.encode(cleaned)
-    pair = dataset.split(matrix, _config_float(cfg, "test_fraction", 0.2), seed)
-    return _Pipeline(
-        terminal=terminal,
-        table=cleaned,
-        matrix=matrix,
-        encode_report=encode_report,
-        pair=pair,
-        scaler=features.fit_scaler(pair.train),
-        exposure_columns=_exposure_columns(cfg),
-        seed=seed,
-    )
+    return terminal, cleaned, matrix, encode_report
+
+
+def _split(cfg: dict, matrix: dataset.DesignMatrix) -> dataset.SplitPair:
+    return dataset.split(matrix, _config_float(cfg, "test_fraction", 0.2), cfg["seed"])
 
 
 def _model_config(cfg: dict, seed: int):
@@ -227,11 +218,13 @@ def _check_columns(model_columns, matrix: dataset.DesignMatrix, path: Path) -> N
         )
 
 
-def _predict_pd(kind, model, scaler, matrix: dataset.DesignMatrix) -> np.ndarray:
-    if kind == "logreg":
-        x = scaler.transform(matrix.x) if scaler is not None else matrix.x
-        return model.predict_proba(x)
-    return model.predict_proba(matrix.x)
+def _predictions(model_path: Path, matrix: dataset.DesignMatrix):
+    """(kind, pd, labels) of the model file's predictions on the matrix's rows."""
+    kind, model, scaler = _load_model(model_path)
+    _check_columns(model.columns, matrix, model_path)
+    pd_scores = model.predict_proba(matrix.x if scaler is None else scaler.transform(matrix.x))
+    threshold = model.config.threshold if kind == "logreg" else 0.5
+    return kind, pd_scores, (pd_scores >= threshold).astype(np.int64)
 
 
 def _threshold_rules(cfg: dict):
@@ -262,21 +255,16 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_explore(cfg: dict, base: Path, out: Path) -> int:
-    pipe = _run_pipeline(cfg, base)
-    counts = features.threshold_counts(pipe.terminal, _threshold_rules(cfg))
-    balance = dataset.class_balance(pipe.matrix.y)
-    corr = features.correlation_report(pipe.matrix)
+def cmd_explore(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
+    terminal, _, matrix, _ = _load(cfg, base)
+    counts = features.threshold_counts(terminal, _threshold_rules(cfg))
+    balance = dataset.class_balance(matrix.y)
+    corr = features.correlation_report(matrix)
 
     _write_csv(out / "correlation.csv", ["feature", "r"], [(name, float(r)) for name, r, _ in corr])
     summary = {
-        "rows_terminal": pipe.terminal.row_count,
-        "class_balance": {
-            "count0": balance.count0,
-            "count1": balance.count1,
-            "w0": balance.w0,
-            "w1": balance.w1,
-        },
+        "rows_terminal": terminal.row_count,
+        "class_balance": balance._asdict(),
         "threshold_counts": [
             {"column": col, "rule": rule, "count": hits} for col, rule, hits in counts
         ],
@@ -289,77 +277,61 @@ def cmd_explore(cfg: dict, base: Path, out: Path) -> int:
     return 0
 
 
-def cmd_prepare(cfg: dict, base: Path, out: Path) -> int:
-    pipe = _run_pipeline(cfg, base)
+def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
+    _, _, matrix, encode_report = _load(cfg, base)
+    pair = _split(cfg, matrix)
     prep = out / "prepared"
     prep.mkdir(parents=True, exist_ok=True)
-    np.save(prep / "x_train.npy", pipe.pair.train.x)
-    np.save(prep / "y_train.npy", pipe.pair.train.y)
-    np.save(prep / "x_test.npy", pipe.pair.test.x)
-    np.save(prep / "y_test.npy", pipe.pair.test.y)
+    np.save(prep / "x_train.npy", pair.train.x)
+    np.save(prep / "y_train.npy", pair.train.y)
+    np.save(prep / "x_test.npy", pair.test.x)
+    np.save(prep / "y_test.npy", pair.test.y)
     _write_json(
         prep / "columns.json",
         {
-            "columns": list(pipe.matrix.columns),
-            "seed": pipe.seed,
-            "test_fraction": pipe.pair.test_fraction,
-            "train_rows": pipe.pair.train.n_rows,
-            "test_rows": pipe.pair.test.n_rows,
+            "columns": list(matrix.columns),
+            "seed": cfg["seed"],
+            "test_fraction": pair.test_fraction,
+            "train_rows": pair.train.n_rows,
+            "test_rows": pair.test.n_rows,
         },
     )
-    _write_json(prep / "encode_report.json", pipe.encode_report.to_json_dict())
-    _write_json(prep / "scaler.json", pipe.scaler.to_json_dict())
+    _write_json(prep / "encode_report.json", encode_report.to_json_dict())
+    _write_json(prep / "scaler.json", features.fit_scaler(pair.train).to_json_dict())
     print(f"wrote {prep}/x_train.npy y_train.npy x_test.npy y_test.npy")
     print(f"wrote {prep / 'columns.json'} encode_report.json scaler.json")
     return 0
 
 
-def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
-    pipe = _run_pipeline(cfg, base)
-    kind, model_cfg = _model_config(cfg, pipe.seed)
-    target = model_path or out / DEFAULT_MODEL_FILE
+def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
+    kind, model_cfg = _model_config(cfg, cfg["seed"])
+    _, _, matrix, _ = _load(cfg, base)
+    train = _split(cfg, matrix).train
 
     if kind == "logreg":
-        train = features.apply_scaler(pipe.scaler, pipe.pair.train)
-        model = logreg.fit_logreg(train.x, train.y, model_cfg, columns=train.columns)
+        scaler = features.fit_scaler(train)
+        scaled = features.apply_scaler(scaler, train)
+        model = logreg.fit_logreg(scaled.x, scaled.y, model_cfg, columns=scaled.columns)
         payload = model.to_json_dict()
-        payload["scaler"] = pipe.scaler.to_json_dict()
-        log = {
-            "kind": kind,
-            "iterations": model.n_iters,
-            "final_loss": model.final_loss,
-            "history": [[i, v] for i, v in model.history],
-            **_stamp(),
-        }
+        payload["scaler"] = scaler.to_json_dict()
+        history = [[i, v] for i, v in model.history]
+        log = {"iterations": model.n_iters, "final_loss": model.final_loss, "history": history}
     else:
-        model = forest.fit_forest(
-            pipe.pair.train.x, pipe.pair.train.y, model_cfg, columns=pipe.matrix.columns
-        )
+        model = forest.fit_forest(train.x, train.y, model_cfg, columns=train.columns)
         payload = forest.forest_to_json_dict(model)
-        log = {
-            "kind": kind,
-            "n_trees": model.n_trees,
-            "trees": [t.stats() for t in model.trees],
-            **_stamp(),
-        }
+        log = {"n_trees": model.n_trees, "trees": [t.stats() for t in model.trees]}
 
-    _write_json(target, payload)
-    _write_json(out / "training_log.json", log)
-    print(f"wrote {target}")
+    _write_json(model_path, payload)
+    _write_json(out / "training_log.json", {"kind": kind, **log, **_stamp()})
+    print(f"wrote {model_path}")
     print(f"wrote {out / 'training_log.json'}")
     return 0
 
 
-def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
-    pipe = _run_pipeline(cfg, base)
-    source = model_path or out / DEFAULT_MODEL_FILE
-    kind, model, scaler = _load_model(source)
-    _check_columns(model.columns, pipe.matrix, source)
-
-    test = pipe.pair.test
-    pd_scores = _predict_pd(kind, model, scaler, test)
-    threshold = model.config.threshold if kind == "logreg" else 0.5
-    y_pred = (pd_scores >= threshold).astype(np.int64)
+def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
+    _, _, matrix, _ = _load(cfg, base)
+    test = _split(cfg, matrix).test
+    kind, pd_scores, y_pred = _predictions(model_path, test)
     rep = metrics.report(test.y, y_pred)
     curve = metrics.roc(test.y, pd_scores)
 
@@ -389,33 +361,23 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path | None) -> i
     return 0
 
 
-def cmd_score(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
-    pipe = _run_pipeline(cfg, base)
-    source = model_path or out / DEFAULT_MODEL_FILE
-    kind, model, scaler = _load_model(source)
-    _check_columns(model.columns, pipe.matrix, source)
-
-    pd_scores = _predict_pd(kind, model, scaler, pipe.matrix)
-    threshold = model.config.threshold if kind == "logreg" else 0.5
-    labels = (pd_scores >= threshold).astype(np.int64)
+def cmd_score(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
+    _, _, matrix, _ = _load(cfg, base)
+    _, pd_scores, labels = _predictions(model_path, matrix)
     rows = [(i, float(p), int(label)) for i, (p, label) in enumerate(zip(pd_scores, labels))]
     _write_csv(out / "scores.csv", ["id", "pd", "label"], rows)
     print(f"wrote {out / 'scores.csv'} ({len(rows)} rows)")
     return 0
 
 
-def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
-    pipe = _run_pipeline(cfg, base)
-    source = model_path or out / DEFAULT_MODEL_FILE
-    kind, model, scaler = _load_model(source)
-    _check_columns(model.columns, pipe.matrix, source)
-
-    cols = pipe.exposure_columns
-    recovery = exposure.recovery_rates(pipe.table, cols)
-    pd_scores = _predict_pd(kind, model, scaler, pipe.matrix)
+def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
+    _, table, matrix, _ = _load(cfg, base)
+    _, pd_scores, _ = _predictions(model_path, matrix)
+    cols = _exposure_columns(cfg)
+    recovery = exposure.recovery_rates(table, cols)
     risk_free = _config_float(cfg, "risk_free_rate", 0.0)
 
-    loans = exposure.table_ead(pipe.table, cols)
+    loans = exposure.table_ead(table, cols)
     # Nothing outstanding: no contract to write on the loan, spread 0.
     live = loans.amount > 0.0
     stuck = np.flatnonzero(live & (loans.remaining_months == 0))
@@ -424,7 +386,7 @@ def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
             f"{stuck.size} loan(s) have principal outstanding but 0 remaining months "
             f"(term 0, or nothing funded), so no CDS maturity; first id {stuck[0]}"
         )
-    rate = exposure.row_recovery_rates(recovery, pipe.table, cols)
+    rate = exposure.row_recovery_rates(recovery, table, cols)
     loss = exposure.lgd(loans.amount, rate)
     el = exposure.expected_loss(pd_scores, loans.amount, rate)
     spread_bps = np.zeros(len(pd_scores))
@@ -444,6 +406,17 @@ def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path | None) -> int:
     return 0
 
 
+# Each command, and whether it takes a --model file (train writes it, the others read it).
+COMMANDS = {
+    "explore": (cmd_explore, False),
+    "prepare": (cmd_prepare, False),
+    "train": (cmd_train, True),
+    "evaluate": (cmd_evaluate, True),
+    "score": (cmd_score, True),
+    "price": (cmd_price, True),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; this tool reserves 2 for data errors.
     def error(self, message):
@@ -453,17 +426,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="creditworks", description="Consumer-loan default modeling pipeline")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, needs_model in (
-        ("explore", False),
-        ("prepare", False),
-        ("train", True),
-        ("evaluate", True),
-        ("score", True),
-        ("price", True),
-    ):
+    for name, (_, takes_model) in COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="pipeline config JSON")
-        if needs_model:
+        if takes_model:
             cmd.add_argument("--model", help="model file (default: <out>/model.json)")
         cmd.add_argument("--out", help="output directory (default: config out_dir or ./out)")
     return parser
@@ -477,30 +443,15 @@ def main(argv=None) -> int:
 
     try:
         cfg, base = _read_config(args.config)
-        out = (
-            Path(args.out)
-            if args.out
-            else _resolve(base, _config_value(cfg, "out_dir", "out", str, "a path"))
-        )
+        _check_config(cfg)
+        out = Path(args.out) if args.out else _resolve(base, cfg.get("out_dir", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        model_path = Path(args.model) if getattr(args, "model", None) else None
-        if args.command == "explore":
-            return cmd_explore(cfg, base, out)
-        if args.command == "prepare":
-            return cmd_prepare(cfg, base, out)
-        if args.command == "train":
-            return cmd_train(cfg, base, out, model_path)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, base, out, model_path)
-        if args.command == "score":
-            return cmd_score(cfg, base, out, model_path)
-        return cmd_price(cfg, base, out, model_path)
-    except CreditworksError as err:
+        model = getattr(args, "model", None)
+        command, _ = COMMANDS[args.command]
+        return command(cfg, base, out, Path(model) if model else out / DEFAULT_MODEL_FILE)
+    except (CreditworksError, OSError) as err:
         print(f"creditworks: {err}", file=sys.stderr)
-        return err.exit_code
-    except OSError as err:
-        print(f"creditworks: {err}", file=sys.stderr)
-        return 2
+        return getattr(err, "exit_code", 2)  # an OSError is a data error
 
 
 if __name__ == "__main__":

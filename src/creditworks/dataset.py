@@ -609,10 +609,7 @@ def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
 class SplitPair:
     train: DesignMatrix
     test: DesignMatrix
-    seed: int
     test_fraction: float
-    train_indices: tuple[int, ...]
-    test_indices: tuple[int, ...]
 
 
 def split(matrix: DesignMatrix, test_fraction: float, seed: int) -> SplitPair:
@@ -631,10 +628,7 @@ def split(matrix: DesignMatrix, test_fraction: float, seed: int) -> SplitPair:
     return SplitPair(
         train=DesignMatrix(matrix.columns, matrix.x[train_idx], matrix.y[train_idx]),
         test=DesignMatrix(matrix.columns, matrix.x[test_idx], matrix.y[test_idx]),
-        seed=seed,
         test_fraction=test_fraction,
-        train_indices=tuple(int(i) for i in train_idx),
-        test_indices=tuple(int(i) for i in test_idx),
     )
 
 

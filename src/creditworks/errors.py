@@ -1,5 +1,8 @@
 """Exception hierarchy. Each class carries the process exit code the CLI maps it to."""
 
+import math
+import numbers
+
 
 class CreditworksError(Exception):
     exit_code = 1
@@ -49,3 +52,20 @@ class UsageError(CreditworksError):
     """Bad command line or config usage."""
 
     exit_code = 64
+
+
+_SETTING_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def check_setting(name: str, value, kind: type) -> None:
+    """TrainingError unless value suits a model setting of type kind (int,
+    float or bool). A float setting also takes an integer; a bool is never
+    taken as a number, though Python's bool is an int."""
+    if kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not ok:
+        raise TrainingError(f"{name} must be {_SETTING_KINDS[kind]}, got {value!r}")

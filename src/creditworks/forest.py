@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, check_setting
 
 CRITERIA = ("gini", "entropy")
 
@@ -155,12 +155,15 @@ class CartParams:
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise TrainingError(f"unknown criterion {self.criterion!r}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise TrainingError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.max_depth is not None:
+            check_setting("max_depth", self.max_depth, int)
+            if self.max_depth < 0:
+                raise TrainingError(f"max_depth must be >= 0, got {self.max_depth}")
+        check_setting("min_samples_split", self.min_samples_split, int)
         if self.min_samples_split < 2:
             raise TrainingError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
         fs = self.feature_subsample
-        if fs is not None and fs != "auto" and (not isinstance(fs, int) or fs < 1):
+        if fs is not None and fs != "auto" and (type(fs) is not int or fs < 1):
             raise TrainingError(f"feature_subsample must be None, 'auto' or a count, got {fs!r}")
 
 
@@ -358,6 +361,9 @@ class ForestConfig:
     bootstrap: bool = True
 
     def __post_init__(self):
+        check_setting("n_trees", self.n_trees, int)
+        check_setting("seed", self.seed, int)
+        check_setting("bootstrap", self.bootstrap, bool)
         if self.n_trees < 1:
             raise TrainingError(f"n_trees must be >= 1, got {self.n_trees}")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, check_setting
 
 # Probabilities are clipped away from {0, 1} before the log so a saturated
 # sigmoid cannot produce an infinite loss.
@@ -73,6 +73,10 @@ class LogregConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "tol", "l2", "threshold"):
+            check_setting(name, getattr(self, name), float)
+        for name in ("max_iters", "seed"):
+            check_setting(name, getattr(self, name), int)
         if self.learning_rate <= 0:
             raise TrainingError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_iters < 0:

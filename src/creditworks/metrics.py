@@ -135,10 +135,6 @@ class ClassificationReport:
     macro: ScoreTriple
     weighted: ScoreTriple
 
-    @property
-    def total(self) -> int:
-        return self.class0.support + self.class1.support
-
     def to_json_dict(self) -> dict:
         return {
             "confusion": self.confusion.to_json_dict(),

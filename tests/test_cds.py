@@ -179,3 +179,12 @@ def test_fair_spreads_has_criterion_09_properties_on_arrays():
 
     short, long = fair_spreads(**{**base, "maturity": np.array([1.0, 3.0])}, pd=0.2).spread_per_annum
     assert short > long
+
+
+@pytest.mark.parametrize("rate, fragment", [(0.03, "premium annuity"), (-0.03, "float range")])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_fair_spreads_beyond_discounting_range_is_data_error(rate, fragment, as_array):
+    # exp(-0.03 * 1e300) underflows to 0, so the annuity is 0/0; at -0.03 it overflows.
+    maturity = np.array([1.0, 1e300]) if as_array else 1e300
+    with pytest.raises(DataError, match=fragment):
+        fair_spreads(1000.0, maturity, rate, 0.2, 0.4)

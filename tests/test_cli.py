@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import LOAN_HEADER, make_loan_rows, write_config, write_loans_csv
-from creditworks.cli import main
+from creditworks import dataset, features
+from creditworks.cli import COMMANDS, main
 
 
 @pytest.fixture(autouse=True)
@@ -363,6 +364,10 @@ FOREST_MODEL_DEFECTS = {
     "fractional_feature": (_set("feature", 0, lambda m: 0.5), "list of integers"),
     "negative_count": (_set("count0", 0, lambda m: -1), "non-negative"),
     "empty_leaf": (_empty_first_leaf, "at least one training sample"),
+    "fractional_max_depth": (
+        lambda model: {**model, "params": {**model["params"], "max_depth": 2.5}},
+        "max_depth must be an integer",
+    ),
 }
 
 
@@ -436,6 +441,19 @@ def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overr
         pytest.param("train", {"out_dir": 5}, "'out_dir'", id="out-dir-number"),
         pytest.param("train", {"allow_extra_columns": "no"}, "'allow_extra_columns'",
                      id="allow-extra-columns-string"),
+        pytest.param("train", {"model": {"kind": "logreg", "max_iters": 1.5}}, "max_iters",
+                     id="max-iters-fraction"),
+        pytest.param("train", {"model": {"kind": "logreg", "l2": True}}, "l2", id="l2-boolean"),
+        pytest.param("train", {"model": {"kind": "forest", "n_trees": 2.5}}, "n_trees",
+                     id="n-trees-fraction"),
+        pytest.param("train", {"model": {"kind": "forest", "n_trees": True}}, "n_trees",
+                     id="n-trees-boolean"),
+        pytest.param("train", {"model": {"kind": "forest", "bootstrap": "no"}}, "bootstrap",
+                     id="bootstrap-string"),
+        pytest.param("train", {"model": {"kind": "forest", "feature_subsample": True}},
+                     "feature_subsample", id="feature-subsample-boolean"),
+        pytest.param("train", {"model": {"kind": "forest", "max_depth": 2.5}}, "max_depth",
+                     id="max-depth-fraction"),
     ],
 )
 def test_wrongly_typed_config_value_is_usage_error(workdir, capsys, command, overrides, key):
@@ -468,6 +486,25 @@ def test_price_with_term_beyond_float_range_is_data_error(workdir, capsys):
     assert err.startswith("creditworks: ") and err.count("\n") == 1, err
     assert f"cannot read a term in months from {huge.strip()!r}" in err, err
     assert not (workdir / "out" / "pricing.csv").exists()
+
+
+@pytest.mark.parametrize("risk_free_rate", [0.03, -0.03])
+def test_price_with_term_beyond_discounting_range_is_data_error(workdir, capsys, risk_free_rate):
+    # The month count is a finite float, but its discount factor underflows
+    # to 0 (or overflows), so no spread is defined.
+    rows = make_loan_rows()
+    index = next(i for i, r in enumerate(rows) if r[LOAN_HEADER.index("loan_status")] == "Charged Off")
+    rows[index][LOAN_HEADER.index("term")] = " 1" + "0" * 300 + " months"
+    write_loans_csv(workdir / "loans.csv", rows)
+    assert run(workdir, "train") == 0
+    write_config(workdir / "config.json", risk_free_rate=risk_free_rate)
+    capsys.readouterr()
+    assert run(workdir, "price") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "float range" in err or "premium annuity" in err, err
+    assert not (workdir / "out" / "pricing.csv").exists()
+    assert not (workdir / "out" / "recovery.json").exists()
 
 
 def test_non_utf8_csv_is_data_error(workdir, capsys):
@@ -554,3 +591,65 @@ def test_non_utf8_config_is_usage_error(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("creditworks: ") and err.count("\n") == 1, err
     assert "not UTF-8" in err, err
+
+
+def test_logreg_model_with_fractional_iteration_count_is_data_error(workdir, capsys):
+    assert run(workdir, "train") == 0
+    path = workdir / "out" / "model.json"
+    model = read_json(path)
+    model["config"]["max_iters"] = 1.5
+    path.write_text(json.dumps(model), encoding="utf-8")
+    capsys.readouterr()
+    assert run(workdir, "score") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "max_iters must be an integer" in err, err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_is_checked_before_the_input_is_read(tmp_path, capsys, command):
+    write_config(tmp_path / "config.json", input="absent.csv", model={"kind": "svm"})
+    assert run(tmp_path, command) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "'svm'" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+@pytest.mark.parametrize(
+    "overrides, key",
+    [({"missing_policy": 5}, "'missing_policy'"), ({"test_fraction": 1.5}, "'test_fraction'")],
+)
+def test_out_of_range_config_value_is_usage_error(workdir, capsys, command, overrides, key):
+    write_config(workdir / "config.json", **overrides)
+    assert run(workdir, command) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert key in err, err
+    assert not (workdir / "out").exists()
+
+
+def _forbid(monkeypatch, *names):
+    """Make the named stages fail the test if a command calls them."""
+    modules = {"split": dataset, "fit_scaler": features}
+    for name in names:
+        monkeypatch.setattr(modules[name], name, lambda *args, name=name: pytest.fail(f"{name} called"))
+
+
+@pytest.mark.parametrize("command", ["explore", "score", "price"])
+def test_commands_on_the_whole_book_neither_split_nor_scale(workdir, monkeypatch, command):
+    assert run(workdir, "train") == 0
+    _forbid(monkeypatch, "split", "fit_scaler")
+    assert run(workdir, command) == 0
+
+
+@pytest.mark.parametrize("model", [None, {"kind": "forest", "n_trees": 3, "max_depth": 3}])
+def test_evaluate_and_forest_train_fit_no_scaler(workdir, monkeypatch, model):
+    if model is not None:
+        write_config(workdir / "config.json", model=model)
+    assert run(workdir, "train") == 0
+    _forbid(monkeypatch, "fit_scaler")
+    assert run(workdir, "evaluate") == 0
+    if model is not None:
+        assert run(workdir, "train") == 0

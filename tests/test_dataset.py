@@ -373,6 +373,7 @@ def test_encode_refuses_nonterminal_status():
 def _matrix(n, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 3))
+    x[:, 0] = np.arange(n)  # row numbers, so a split's membership can be read back
     y = (rng.random(n) < 0.4).astype(np.int64)
     table_cols = tuple(f"c{i}" for i in range(3))
     from creditworks import DesignMatrix
@@ -380,13 +381,17 @@ def _matrix(n, seed=0):
     return DesignMatrix(columns=table_cols, x=x, y=y)
 
 
+def _rows(part):
+    return part.x[:, 0].astype(int).tolist()
+
+
 def test_split_sizes_and_repeatability():
     matrix = _matrix(10)
     pair = split(matrix, 0.2, seed=7)
     again = split(matrix, 0.2, seed=7)
     assert (pair.train.n_rows, pair.test.n_rows) == (8, 2)
-    assert pair.test_indices == again.test_indices
-    assert pair.train_indices == again.train_indices
+    assert _rows(pair.test) == _rows(again.test)
+    assert _rows(pair.train) == _rows(again.train)
 
 
 def test_split_two_rows_half():
@@ -397,7 +402,7 @@ def test_split_two_rows_half():
 def test_split_is_a_partition():
     matrix = _matrix(57)
     pair = split(matrix, 0.3, seed=13)
-    merged = sorted(pair.train_indices + pair.test_indices)
+    merged = sorted(_rows(pair.train) + _rows(pair.test))
     assert merged == list(range(57))
 
 
@@ -406,7 +411,7 @@ def test_split_seeds_differ():
     a = split(matrix, 0.2, seed=1)
     b = split(matrix, 0.2, seed=2)
     assert a.test.n_rows == b.test.n_rows == 20
-    assert set(a.test_indices) != set(b.test_indices)
+    assert set(_rows(a.test)) != set(_rows(b.test))
 
 
 def test_split_validates_inputs():

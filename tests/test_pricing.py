@@ -153,10 +153,9 @@ def test_price_matches_per_loan_reference(tmp_path, book):
     assert cli.main(["price", "--config", config]) == 0
 
     cfg, base = cli._read_config(config)
-    pipe = cli._run_pipeline(cfg, base)
-    kind, model, scaler = cli._load_model(tmp_path / "out" / "model.json")
-    pd_scores = cli._predict_pd(kind, model, scaler, pipe.matrix)
-    want_rows, want_recovery = _ref_price(pipe.table, pd_scores, pipe.exposure_columns, 0.03)
+    _, table, matrix, _ = cli._load(cfg, base)
+    _, pd_scores, _ = cli._predictions(tmp_path / "out" / "model.json", matrix)
+    want_rows, want_recovery = _ref_price(table, pd_scores, cli._exposure_columns(cfg), 0.03)
 
     out = tmp_path / "out"
     assert (out / "pricing.csv").read_bytes() == _csv_bytes(want_rows)

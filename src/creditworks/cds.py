@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
 from .exposure import ExposureQuote, _operands, _outside_unit
 
@@ -89,7 +91,10 @@ def _spreads(ops, notional, maturity, risk_free_rate, pd, recovery_rate) -> CdsQ
     d_tau = ops.per_distinct(lambda t: discount(risk_free_rate, t / 2.0), maturity)
     d_mat = ops.per_distinct(lambda t: discount(risk_free_rate, t), maturity)
     protection_unit = (1.0 - recovery_rate) * pd * d_tau
-    annuity_unit = (1.0 - pd) * maturity * d_mat + pd * tau * d_tau
+    # Over arrays an annuity past the float range is inf (or NaN) with a numpy
+    # warning; the check below reports it as a DataError instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        annuity_unit = (1.0 - pd) * maturity * d_mat + pd * tau * d_tau
     bad = (annuity_unit <= 0.0) | (annuity_unit >= math.inf) | (annuity_unit != annuity_unit)
     ops.check(bad, maturity, "premium annuity is not a positive finite number at maturity (years)")
     spread = protection_unit / annuity_unit

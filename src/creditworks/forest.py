@@ -10,7 +10,10 @@ threshold exists at all.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,6 +265,21 @@ def _resolve_subsample(params: CartParams, n_cols: int) -> int:
     return min(n_cols, int(fs))
 
 
+def _check_xy(x, y):
+    """x as a 2-D float64 matrix and y as its int64 0/1 labels, one per row."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2:
+        raise DataError("training matrix must be 2-D")
+    if y.shape != (x.shape[0],):
+        raise DataError("target length does not match row count")
+    if x.shape[0] == 0:
+        raise TrainingError("cannot fit on an empty matrix")
+    if not np.isin(y, (0, 1)).all():
+        raise TrainingError("labels must be 0/1")
+    return x, y
+
+
 def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> CartTree:
     """Grow one tree by impurity-minimizing splits, depth first.
 
@@ -275,17 +293,7 @@ def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> Ca
     their order in rows. A split partitions each feature's sorted order
     stably into the children's, so no node sorts again (CART presorting).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2:
-        raise DataError("training matrix must be 2-D")
-    if y.shape != (x.shape[0],):
-        raise DataError("target length does not match row count")
-    if x.shape[0] == 0:
-        raise TrainingError("cannot fit on an empty matrix")
-    if y.size and not np.isin(y, (0, 1)).all():
-        raise TrainingError("labels must be 0/1")
-
+    x, y = _check_xy(x, y)
     n_cols = x.shape[1]
     k = _resolve_subsample(params, n_cols)
     if k < n_cols and rng is None:
@@ -393,20 +401,95 @@ class Forest:
         return (self.predict_proba(x) >= threshold).astype(np.int64)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_tree(x, y, config: ForestConfig, t: int) -> CartTree:
+    rng = np.random.default_rng((config.seed, t))
+    n = x.shape[0]
+    rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+    return fit_cart(x, y, config.params, rng, rows=rows)
+
+
+def _grow_in_child(x, y, config: ForestConfig, worker: int, workers: int, write_end: int):
+    """Fit worker's trees, write their arrays to write_end as .npy records in
+    tree order, and end the process: exit status 0 once all are written.
+
+    os._exit never returns into the caller and skips the atexit handlers and
+    the flush of stdio buffers inherited from the parent, so nothing the
+    parent had buffered is written twice. The records are built in memory
+    and written in one go: numpy's .npy writer and reader need a seekable
+    file, which a pipe is not.
+    """
+    status = 1
+    try:
+        records = io.BytesIO()
+        for t in range(worker, config.n_trees, workers):
+            tree = _fit_tree(x, y, config, t)
+            for name in TREE_ARRAYS:
+                np.lib.format.write_array(records, getattr(tree, name), allow_pickle=False)
+        with open(write_end, "wb") as pipe:
+            pipe.write(records.getbuffer())
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Forest:
     """Train n_trees CARTs on bootstrap resamples.
 
     Tree t's entire randomness (its bootstrap draw, then its per-node
     feature subsets) comes from a generator seeded with (seed, t), so the
     forest is identical no matter how the tree loop is scheduled.
+
+    With W = min(n_trees, usable CPUs) workers, worker w fits the trees
+    t = w (mod W): worker 0 is this process and the others are forked
+    children, which send their trees' arrays back through a pipe each. The
+    inputs are checked here, before any fork, and every received tree is
+    checked again by CartTree. A child that fails raises TrainingError
+    naming its exit status; on any error the children are killed and reaped.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng((config.seed, t))
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(fit_cart(x, y, config.params, rng, rows=rows))
+    x, y = _check_xy(x, y)
+    workers = min(config.n_trees, _usable_cpus())
+    trees = [None] * config.n_trees
+    children = {}  # worker -> pid, until reaped
+    pipes = {}  # worker -> read end, until closed
+    try:
+        for w in range(1, workers):
+            pipes[w], write_end = os.pipe()
+            try:
+                children[w] = os.fork()
+                if children[w] == 0:
+                    _grow_in_child(x, y, config, w, workers, write_end)
+            finally:
+                os.close(write_end)
+        for t in range(0, config.n_trees, workers):
+            trees[t] = _fit_tree(x, y, config, t)
+        for w in range(1, workers):
+            with open(pipes.pop(w), "rb") as pipe:
+                records = io.BytesIO(pipe.read())
+            status = os.waitstatus_to_exitcode(os.waitpid(children[w], 0)[1])
+            del children[w]
+            if status != 0:
+                raise TrainingError(f"forest worker {w} failed with exit status {status}")
+            for t in range(w, config.n_trees, workers):
+                arrays = {
+                    name: np.lib.format.read_array(records, allow_pickle=False)
+                    for name in TREE_ARRAYS
+                }
+                trees[t] = CartTree(**arrays, params=config.params, n_features=x.shape[1])
+    finally:
+        for read_end in pipes.values():
+            os.close(read_end)
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return Forest(
         trees=tuple(trees),
         seed=config.seed,

@@ -188,3 +188,9 @@ def test_fair_spreads_beyond_discounting_range_is_data_error(rate, fragment, as_
     maturity = np.array([1.0, 1e300]) if as_array else 1e300
     with pytest.raises(DataError, match=fragment):
         fair_spreads(1000.0, maturity, rate, 0.2, 0.4)
+
+
+def test_fair_spreads_annuity_beyond_float_range_is_data_error():
+    # exp(0.03 * 23600) is finite, but 0.8 * 23600 times it is not.
+    with pytest.raises(DataError, match="premium annuity"):
+        fair_spreads(1000.0, np.array([1.0, 23600.0]), -0.03, 0.2, 0.4)

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import LOAN_HEADER, make_loan_rows, write_config, write_loans_csv
-from creditworks import dataset, features
+from creditworks import dataset, features, forest
 from creditworks.cli import COMMANDS, main
 
 
@@ -507,6 +511,24 @@ def test_price_with_term_beyond_discounting_range_is_data_error(workdir, capsys,
     assert not (workdir / "out" / "recovery.json").exists()
 
 
+def test_price_with_annuity_beyond_float_range_is_data_error(workdir, capsys):
+    # Nothing repaid, so the CDS maturity is the whole 23,600-year term: its
+    # discount factor at -3% is finite, the annuity it weights is not.
+    rows = make_loan_rows()
+    index = next(i for i, r in enumerate(rows) if r[LOAN_HEADER.index("loan_status")] == "Charged Off")
+    rows[index][LOAN_HEADER.index("term")] = " 283200 months"
+    rows[index][LOAN_HEADER.index("total_rec_prncp")] = 0.0
+    write_loans_csv(workdir / "loans.csv", rows)
+    assert run(workdir, "train") == 0
+    write_config(workdir / "config.json", risk_free_rate=-0.03)
+    capsys.readouterr()
+    assert run(workdir, "price") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "premium annuity" in err, err
+    assert not (workdir / "out" / "pricing.csv").exists()
+
+
 def test_non_utf8_csv_is_data_error(workdir, capsys):
     data = (workdir / "loans.csv").read_bytes()
     offset = data.index(b"eng")  # an emp_title cell
@@ -653,3 +675,42 @@ def test_evaluate_and_forest_train_fit_no_scaler(workdir, monkeypatch, model):
     assert run(workdir, "evaluate") == 0
     if model is not None:
         assert run(workdir, "train") == 0
+
+
+def test_forest_train_in_a_subprocess_prints_each_line_once(tmp_path):
+    write_loans_csv(tmp_path / "loans.csv")
+    write_config(tmp_path / "config.json", model={"kind": "forest", "n_trees": 4, "max_depth": 3})
+    # Three workers, whatever this machine's CPU count: two forked children.
+    script = (
+        "import sys; from creditworks import cli, forest; "
+        "forest._usable_cpus = lambda: 3; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    src = Path(forest.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "train", "--config", str(tmp_path / "config.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    out = tmp_path / "out"
+    assert done.stdout.splitlines() == [f"wrote {out / 'model.json'}", f"wrote {out / 'training_log.json'}"]
+
+
+def test_failed_forest_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    write_loans_csv(tmp_path / "loans.csv")
+    write_config(tmp_path / "config.json", model={"kind": "forest", "n_trees": 4, "max_depth": 3})
+    parent, real_fit_cart = os.getpid(), forest.fit_cart
+
+    def fit_cart_failing_in_children(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real_fit_cart(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "fit_cart", fit_cart_failing_in_children)
+    assert run(tmp_path, "train") == 3
+    err = capsys.readouterr().err
+    assert err == "creditworks: forest worker 1 failed with exit status 1\n", err
+    assert not (tmp_path / "out" / "model.json").exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from creditworks import (
     gini,
     information_gain,
 )
+from creditworks import forest
 from creditworks.errors import DataError, TrainingError
 from creditworks.forest import CRITERIA, TREE_ARRAYS
 
@@ -466,3 +468,67 @@ def test_cart_params_validation():
 def test_forest_config_validation():
     with pytest.raises(TrainingError):
         ForestConfig(n_trees=0)
+
+
+@pytest.mark.parametrize(
+    "x, y, error, fragment",
+    [
+        pytest.param(np.zeros(4), [0, 1, 0, 1], DataError, "2-D", id="1-d"),
+        pytest.param(np.zeros((4, 2)), [0, 1, 0], DataError, "target length", id="short-y"),
+        pytest.param(np.zeros((0, 2)), [], TrainingError, "empty matrix", id="empty"),
+        pytest.param(np.zeros((4, 2)), [0, 1, 2, 1], TrainingError, "0/1", id="label-2"),
+    ],
+)
+def test_bad_training_input_raises_before_any_fork(monkeypatch, x, y, error, fragment):
+    with pytest.raises(error, match=fragment):
+        fit_cart(x, y)
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest.os, "fork", lambda: pytest.fail("forked on bad input"))
+    with pytest.raises(error, match=fragment):
+        fit_forest(x, y, ForestConfig(n_trees=3))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_fit_forest_equals_serial_loop_for_any_worker_count(monkeypatch, cpus, bootstrap):
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+    x, y = _tie_heavy_data(5, n=120)
+    params = CartParams(feature_subsample="auto", max_depth=6)
+    for n_trees in (1, 2, 5, 7):
+        config = ForestConfig(n_trees=n_trees, params=params, seed=3, bootstrap=bootstrap)
+        got = fit_forest(x, y, config)
+        assert got.n_trees == n_trees
+        for t, tree in enumerate(got.trees):
+            rng = np.random.default_rng((config.seed, t))
+            rows = rng.integers(0, len(y), size=len(y)) if bootstrap else None
+            want = fit_cart(x, y, params, rng, rows=rows)
+            for name in TREE_ARRAYS:
+                a, b = getattr(tree, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n_trees, t, name)
+
+
+@pytest.mark.parametrize(
+    "bad_tree, error, fragment",
+    [
+        pytest.param(0, MemoryError, "tree 0", id="parent"),
+        pytest.param(1, TrainingError, "forest worker 1 failed with exit status 1", id="child"),
+        pytest.param(4, TrainingError, "forest worker 1 failed with exit status 1", id="child-later-tree"),
+    ],
+)
+def test_failed_worker_raises_and_leaves_no_child(monkeypatch, bad_tree, error, fragment):
+    x, y = _tie_heavy_data(6, n=120)
+    config = ForestConfig(n_trees=6, seed=8)
+    bad_rows = np.random.default_rng((config.seed, bad_tree)).integers(0, len(y), size=len(y))
+    real_fit_cart = forest.fit_cart
+
+    def failing_fit_cart(x, y, params, rng, rows):
+        if np.array_equal(rows, bad_rows):
+            raise MemoryError(f"tree {bad_tree}")
+        return real_fit_cart(x, y, params, rng, rows=rows)
+
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forest, "fit_cart", failing_fit_cart)
+    with pytest.raises(error, match=fragment):
+        fit_forest(x, y, config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -14,6 +14,7 @@ import io
 import math
 import os
 import signal
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,13 +402,32 @@ class Forest:
         return (self.predict_proba(x) >= threshold).astype(np.int64)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where os.fork does not exist."""
+# An extra worker holds its own per-tree working set (x[rows], its transpose,
+# the int64 sort order and the node partitions copied from it). Measured as
+# the rise in summed proportional set size over a serial fit: 4.9 times
+# x.nbytes on a 1M x 14 matrix, 5.2 for a 100k-row book's train, 6.2 on a
+# 100k x 14 matrix, where the interpreter pages a child copies weigh more.
+_WORKER_BYTES_PER_X_BYTE = 6
+# The largest pool whose speed and memory have been measured, on a 2-CPU host.
+_MAX_WORKERS = 2
+
+
+def _workers(x) -> int:
+    """Processes to fit trees on x in: one per CPU this process may run on,
+    at most _MAX_WORKERS, and only as many extra ones as free memory holds
+    a working set of. One where os.fork or the free memory is unknown."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    try:
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        free = 0
+    extra = free // max(1, _WORKER_BYTES_PER_X_BYTE * x.nbytes)
+    return max(1, min(cpus, _MAX_WORKERS, 1 + extra))
 
 
 def _fit_tree(x, y, config: ForestConfig, t: int) -> CartTree:
@@ -417,7 +437,9 @@ def _fit_tree(x, y, config: ForestConfig, t: int) -> CartTree:
     return fit_cart(x, y, config.params, rng, rows=rows)
 
 
-def _grow_in_child(x, y, config: ForestConfig, worker: int, workers: int, write_end: int):
+def _grow_in_child(
+    x, y, config: ForestConfig, worker: int, workers: int, write_end: int, parent: int, read_ends
+):
     """Fit worker's trees, write their arrays to write_end as .npy records in
     tree order, and end the process: exit status 0 once all are written.
 
@@ -426,11 +448,20 @@ def _grow_in_child(x, y, config: ForestConfig, worker: int, workers: int, write_
     parent had buffered is written twice. The records are built in memory
     and written in one go: numpy's .npy writer and reader need a seekable
     file, which a pipe is not.
+
+    If the parent dies without reaping this child, the child stops before
+    its next tree. The read ends it inherited, its own included, are closed
+    first, so with the parent gone no reader is left and a write fails with
+    a broken pipe instead of blocking on a full pipe buffer for ever.
     """
     status = 1
     try:
+        for read_end in read_ends:
+            os.close(read_end)
         records = io.BytesIO()
         for t in range(worker, config.n_trees, workers):
+            if os.getppid() != parent:
+                return  # orphaned: no one will read these trees
             tree = _fit_tree(x, y, config, t)
             for name in TREE_ARRAYS:
                 np.lib.format.write_array(records, getattr(tree, name), allow_pickle=False)
@@ -448,7 +479,7 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     feature subsets) comes from a generator seeded with (seed, t), so the
     forest is identical no matter how the tree loop is scheduled.
 
-    With W = min(n_trees, usable CPUs) workers, worker w fits the trees
+    With W = min(n_trees, _workers(x)) workers, worker w fits the trees
     t = w (mod W): worker 0 is this process and the others are forked
     children, which send their trees' arrays back through a pipe each. The
     inputs are checked here, before any fork, and every received tree is
@@ -456,7 +487,8 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     naming its exit status; on any error the children are killed and reaped.
     """
     x, y = _check_xy(x, y)
-    workers = min(config.n_trees, _usable_cpus())
+    workers = min(config.n_trees, _workers(x))
+    parent = os.getpid()
     trees = [None] * config.n_trees
     children = {}  # worker -> pid, until reaped
     pipes = {}  # worker -> read end, until closed
@@ -464,9 +496,14 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
         for w in range(1, workers):
             pipes[w], write_end = os.pipe()
             try:
-                children[w] = os.fork()
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork in a process with several
+                    # threads, as numpy's OpenBLAS pool makes this one. The
+                    # child calls no BLAS routine and leaves through os._exit.
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                    children[w] = os.fork()
                 if children[w] == 0:
-                    _grow_in_child(x, y, config, w, workers, write_end)
+                    _grow_in_child(x, y, config, w, workers, write_end, parent, pipes.values())
             finally:
                 os.close(write_end)
         for t in range(0, config.n_trees, workers):

@@ -683,7 +683,7 @@ def test_forest_train_in_a_subprocess_prints_each_line_once(tmp_path):
     # Three workers, whatever this machine's CPU count: two forked children.
     script = (
         "import sys; from creditworks import cli, forest; "
-        "forest._usable_cpus = lambda: 3; "
+        "forest._workers = lambda x: 3; "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     src = Path(forest.__file__).resolve().parents[1]
@@ -708,7 +708,7 @@ def test_failed_forest_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatc
             raise MemoryError
         return real_fit_cart(*args, **kwargs)
 
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "_workers", lambda x: 2)
     monkeypatch.setattr(forest, "fit_cart", fit_cart_failing_in_children)
     assert run(tmp_path, "train") == 3
     err = capsys.readouterr().err

@@ -1,6 +1,12 @@
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,16 +488,16 @@ def test_forest_config_validation():
 def test_bad_training_input_raises_before_any_fork(monkeypatch, x, y, error, fragment):
     with pytest.raises(error, match=fragment):
         fit_cart(x, y)
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "_workers", lambda x: 2)
     monkeypatch.setattr(forest.os, "fork", lambda: pytest.fail("forked on bad input"))
     with pytest.raises(error, match=fragment):
         fit_forest(x, y, ForestConfig(n_trees=3))
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("bootstrap", [True, False])
-def test_fit_forest_equals_serial_loop_for_any_worker_count(monkeypatch, cpus, bootstrap):
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+def test_fit_forest_equals_serial_loop_for_any_worker_count(monkeypatch, workers, bootstrap):
+    monkeypatch.setattr(forest, "_workers", lambda x: workers)
     x, y = _tie_heavy_data(5, n=120)
     params = CartParams(feature_subsample="auto", max_depth=6)
     for n_trees in (1, 2, 5, 7):
@@ -526,9 +532,115 @@ def test_failed_worker_raises_and_leaves_no_child(monkeypatch, bad_tree, error, 
             raise MemoryError(f"tree {bad_tree}")
         return real_fit_cart(x, y, params, rng, rows=rows)
 
-    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forest, "_workers", lambda x: 3)
     monkeypatch.setattr(forest, "fit_cart", failing_fit_cart)
     with pytest.raises(error, match=fragment):
         fit_forest(x, y, config)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "cpus, free_pages, want",
+    [
+        pytest.param(1, 10**9, 1, id="one-cpu"),
+        pytest.param(8, 10**9, 2, id="capped-at-measured"),
+        pytest.param(8, 1, 1, id="no-memory-for-a-second-working-set"),
+    ],
+)
+def test_worker_count_is_bounded_by_cpus_cap_and_free_memory(monkeypatch, cpus, free_pages, want):
+    x = np.zeros((1000, 14))
+    pages = {"SC_AVPHYS_PAGES": free_pages, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert forest._workers(x) == want
+
+
+def test_worker_count_is_one_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert forest._workers(np.zeros((10, 2))) == 1
+
+
+def test_fork_warning_of_a_threaded_process_neither_fails_nor_loses_a_child(monkeypatch):
+    # Python 3.12+ warns, in the parent, after a fork in a threaded process;
+    # the suite turns DeprecationWarning into an error. Raised there, it would
+    # lose the new child's pid, which then could never be reaped.
+    real_fork = os.fork
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks"
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(forest, "_workers", lambda x: 2)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    x, y = _tie_heavy_data(9, n=80)
+    assert fit_forest(x, y, ForestConfig(n_trees=2, seed=1)).n_trees == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _finished(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+@pytest.mark.parametrize(
+    "trees_per_worker",
+    [
+        # Each child is on its last tree: it finishes it, then its write of
+        # more than a pipe buffer must fail rather than block for ever.
+        pytest.param(1, id="writing"),
+        # Each child has a tree to go, which would take a minute.
+        pytest.param(2, id="fitting"),
+    ],
+)
+def test_workers_of_a_killed_parent_exit(tmp_path, trees_per_worker):
+    workers = 3
+    # Each worker announces its pid on its first tree; later trees are slow.
+    script = f"""
+import os, time
+import numpy as np
+from creditworks import forest
+
+real_fit_tree = forest._fit_tree
+
+def slow_fit_tree(x, y, config, t):
+    if t < {workers}:
+        os.write(1, b"%d\\n" % os.getpid())  # one write: the workers share stdout
+    time.sleep(1.0 if t < {workers} else 60.0)
+    return real_fit_tree(x, y, config, t)
+
+forest._fit_tree = slow_fit_tree
+forest._workers = lambda x: {workers}
+rng = np.random.default_rng(0)
+x, y = rng.random((8000, 5)), rng.integers(0, 2, 8000)
+forest.fit_forest(x, y, forest.ForestConfig(n_trees={workers * trees_per_worker}))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(forest.__file__).resolve().parents[1])}
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=err, env=env, text=True)
+    children = []
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(workers)]
+        children = [pid for pid in pids if pid != proc.pid]
+        assert len(children) == workers - 1
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 30.0
+        while not all(map(_finished, children)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert all(map(_finished, children)), (tmp_path / "stderr").read_text()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in children:
+            if not _finished(pid):
+                os.kill(pid, signal.SIGKILL)

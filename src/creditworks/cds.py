@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .exposure import ExposureQuote, _operands, _outside_unit
+from .exposure import ExposureQuote, _check, _floats, _outside_unit, _unwrap
 
 
 def discount(rate: float, t: float) -> float:
@@ -35,11 +35,21 @@ def discount(rate: float, t: float) -> float:
         ) from exc
 
 
-def _check_terms(ops, notional, maturity, pd, recovery_rate) -> None:
-    ops.check(notional < 0, notional, "notional must be >= 0")
-    ops.check(maturity <= 0, maturity, "maturity must be positive")
-    ops.check(_outside_unit(pd), pd, "pd must lie in [0, 1]")
-    ops.check(_outside_unit(recovery_rate), recovery_rate, "recovery rate must lie in [0, 1]")
+def _per_distinct(f, values):
+    """f (a function of one float) applied once per distinct value."""
+    distinct, index = np.unique(values.ravel(), return_inverse=True)
+    mapped = np.array([f(v) for v in distinct.tolist()], dtype=np.float64)
+    return mapped[index.reshape(values.shape)]
+
+
+def _check_terms(notional, maturity, pd, recovery_rate):
+    """The contract terms as float64 arrays, checked."""
+    notional, maturity, pd, recovery_rate = _floats(notional, maturity, pd, recovery_rate)
+    _check(~(notional >= 0), notional, "notional must be >= 0")
+    _check(~(maturity > 0), maturity, "maturity must be positive")
+    _check(_outside_unit(pd), pd, "pd must lie in [0, 1]")
+    _check(_outside_unit(recovery_rate), recovery_rate, "recovery rate must lie in [0, 1]")
+    return notional, maturity, pd, recovery_rate
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,7 @@ class CdsTerms:
     recovery_rate: float
 
     def __post_init__(self):
-        ops, values = _operands(self.notional, self.maturity, self.pd, self.recovery_rate)
-        _check_terms(ops, *values)
+        _check_terms(self.notional, self.maturity, self.pd, self.recovery_rate)
 
 
 @dataclass(frozen=True)
@@ -68,59 +77,45 @@ class CdsQuote:
 def fair_spreads(notional, maturity, risk_free_rate: float, pd, recovery_rate) -> CdsQuote:
     """Spread equating the premium and protection legs.
 
-    notional, maturity (years), pd and recovery_rate are floats or arrays
-    (which broadcast); risk_free_rate is one rate for every contract. The
-    annuity is strictly positive for any maturity > 0 (whichever of the
-    survival and default branches has weight, its time factor is positive)
-    unless the discount factors leave the float range, which raises
-    DataError; pd = 0 and R = 1 give exactly 0.
+    notional, maturity (years), pd and recovery_rate are float64 arrays
+    (which broadcast), or floats, which give floats; risk_free_rate is one
+    rate for every contract. The annuity is strictly positive for any
+    maturity > 0 (whichever of the survival and default branches has
+    weight, its time factor is positive) unless the discount factors leave
+    the float range, which raises DataError; pd = 0 and R = 1 give exactly 0.
 
-    Over arrays, the discount factors are still computed by discount()
-    (math.exp), once per distinct maturity, so they match the float path
-    bit for bit; a loan book has a few dozen distinct maturities.
+    The discount factors come from discount() (math.exp), once per distinct
+    maturity: np.exp may differ from it in the last bit, and the recorded
+    pricing.csv bytes were made with math.exp. A loan book has a few dozen
+    distinct maturities.
     """
-    ops, (notional, maturity, pd, recovery_rate) = _operands(
-        notional, maturity, pd, recovery_rate
-    )
-    _check_terms(ops, notional, maturity, pd, recovery_rate)
-    return _spreads(ops, notional, maturity, risk_free_rate, pd, recovery_rate)
-
-
-def _spreads(ops, notional, maturity, risk_free_rate, pd, recovery_rate) -> CdsQuote:
+    notional, maturity, pd, recovery_rate = _check_terms(notional, maturity, pd, recovery_rate)
     tau = maturity / 2.0
-    d_tau = ops.per_distinct(lambda t: discount(risk_free_rate, t / 2.0), maturity)
-    d_mat = ops.per_distinct(lambda t: discount(risk_free_rate, t), maturity)
+    d_tau = _per_distinct(lambda t: discount(risk_free_rate, t / 2.0), maturity)
+    d_mat = _per_distinct(lambda t: discount(risk_free_rate, t), maturity)
     protection_unit = (1.0 - recovery_rate) * pd * d_tau
-    # Over arrays an annuity past the float range is inf (or NaN) with a numpy
-    # warning; the check below reports it as a DataError instead.
+    # An annuity past the float range is inf (or NaN) with a numpy warning;
+    # the check below reports it as a DataError instead.
     with np.errstate(over="ignore", invalid="ignore"):
         annuity_unit = (1.0 - pd) * maturity * d_mat + pd * tau * d_tau
-    bad = (annuity_unit <= 0.0) | (annuity_unit >= math.inf) | (annuity_unit != annuity_unit)
-    ops.check(bad, maturity, "premium annuity is not a positive finite number at maturity (years)")
+    bad = ~((annuity_unit > 0.0) & (annuity_unit < math.inf))
+    _check(bad, maturity, "premium annuity is not a positive finite number at maturity (years)")
     spread = protection_unit / annuity_unit
     return CdsQuote(
-        spread_per_annum=spread,
-        spread_bps=spread * 1e4,
-        premium_leg_value=spread * annuity_unit * notional,
-        protection_leg_value=protection_unit * notional,
+        spread_per_annum=_unwrap(spread),
+        spread_bps=_unwrap(spread * 1e4),
+        premium_leg_value=_unwrap(spread * annuity_unit * notional),
+        protection_leg_value=_unwrap(protection_unit * notional),
     )
 
 
 def fair_spread(terms: CdsTerms) -> CdsQuote:
-    """fair_spreads of one contract; CdsTerms checked the terms already."""
-    ops, (notional, maturity, pd, recovery_rate) = _operands(
-        terms.notional, terms.maturity, terms.pd, terms.recovery_rate
+    """fair_spreads of one contract."""
+    return fair_spreads(
+        terms.notional, terms.maturity, terms.risk_free_rate, terms.pd, terms.recovery_rate
     )
-    return _spreads(ops, notional, maturity, terms.risk_free_rate, pd, recovery_rate)
 
 
 def price_for_loan(quote: ExposureQuote, maturity_years: float, risk_free_rate: float) -> CdsQuote:
     """Protection on one loan: notional = EAD, maturity = remaining term."""
-    terms = CdsTerms(
-        notional=quote.ead,
-        maturity=maturity_years,
-        risk_free_rate=risk_free_rate,
-        pd=quote.pd,
-        recovery_rate=quote.recovery_rate,
-    )
-    return fair_spread(terms)
+    return fair_spreads(quote.ead, maturity_years, risk_free_rate, quote.pd, quote.recovery_rate)

@@ -112,8 +112,9 @@ def _check_config(cfg: dict) -> None:
     whatever the command, before any input is read or output written."""
     _config_value(cfg, "input", None, str, "the path of the input CSV")
     seed = _config_value(cfg, "seed", None, int, "an integer (runs may not self-seed)")
-    if cfg.get("column_spec"):
-        _config_value(cfg, "column_spec", None, str, "a path")
+    spec = cfg.get("column_spec")
+    if spec is not None and not (isinstance(spec, str) and spec):
+        raise UsageError(f"config 'column_spec' must be a path, got {spec!r}")
     _config_value(cfg, "out_dir", "out", str, "a path")
     _config_value(cfg, "allow_extra_columns", False, bool, "true or false")
     _status_map(cfg)
@@ -134,7 +135,7 @@ def _check_config(cfg: dict) -> None:
 def _load(cfg: dict, base: Path):
     """Parse, terminal filter, drop, fill and encode the input CSV of a
     checked config. Returns (terminal table, cleaned table, matrix, encode report)."""
-    if cfg.get("column_spec"):
+    if cfg.get("column_spec") is not None:
         specs = dataset.load_column_specs(_resolve(base, cfg["column_spec"]))
     else:
         specs = dataset.default_column_specs()
@@ -182,7 +183,7 @@ def _model_config(cfg: dict, seed: int):
 
 
 def _load_model(path: Path):
-    """Read a model file; returns (kind, model, scaler or None)."""
+    """Read a model file; returns (kind, model, scaler), the scaler None for a forest."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -195,11 +196,9 @@ def _load_model(path: Path):
     try:
         if kind == "logreg":
             model = logreg.LogregModel.from_json_dict(payload)
-            scaler = (
-                features.Scaler.from_json_dict(payload["scaler"])
-                if "scaler" in payload
-                else None
-            )
+            scaler = features.Scaler.from_json_dict(payload["scaler"])
+            if scaler.columns != model.columns:
+                raise DataError("its scaler was fitted on other columns than the model")
             return kind, model, scaler
         if kind == "forest":
             return kind, forest.forest_from_json_dict(payload), None

@@ -1,11 +1,9 @@
 """Recovery rates from charged-off loans, exposure at default, and expected loss.
 
-Each formula is written once and runs on floats or on numpy arrays (one
-entry per loan): it reaches the few operations that differ (where, ceil,
-finding a bad value, a function per distinct value) through _FloatOps or
-_ArrayOps, picked from its arguments. The float path keeps the per-loan
-entry points (ead, record_ead, build_quote) close to the cost of plain
-arithmetic, where numpy on 0-d arrays would cost ten times more.
+The formulas take float64 arrays, one entry per loan, which broadcast. A
+float argument is a 0-d array and a 0-d result comes back as a Python
+float, so the per-loan entry points (ead, record_ead, build_quote) run the
+same code on one loan.
 """
 
 from __future__ import annotations
@@ -39,55 +37,20 @@ class EadResult(float):
         return obj
 
 
-class _FloatOps:
-    """What the formulas need beyond arithmetic and comparison, on floats."""
-
-    @staticmethod
-    def where(cond, a, b):
-        return a if cond else b
-
-    ceil = staticmethod(math.ceil)
-
-    @staticmethod
-    def check(bad, values, what: str) -> None:
-        if bad:
-            raise DataError(f"{what}, got {values}")
-
-    @staticmethod
-    def per_distinct(f, values):
-        return f(values)
+def _check(bad, values, what: str) -> None:
+    """DataError naming the first of values where bad holds."""
+    if bad.any():
+        raise DataError(f"{what}, got {np.broadcast_to(values, bad.shape)[bad][0].item()}")
 
 
-class _ArrayOps:
-    """The same operations on float64 arrays."""
-
-    where = staticmethod(np.where)
-    ceil = staticmethod(np.ceil)
-
-    @staticmethod
-    def check(bad, values, what: str) -> None:
-        """DataError naming the first of values where bad holds."""
-        if bad.any():
-            raise DataError(f"{what}, got {values[bad][0].item()}")
-
-    @staticmethod
-    def per_distinct(f, values):
-        """f (a function of one float) applied once per distinct value."""
-        distinct, index = np.unique(values.ravel(), return_inverse=True)
-        mapped = np.array([f(v) for v in distinct.tolist()], dtype=np.float64)
-        return mapped[index.reshape(values.shape)]
+def _floats(*values):
+    """The arguments as float64 arrays; a float becomes a 0-d array."""
+    return [np.asarray(v, dtype=np.float64) for v in values]
 
 
-_SEQUENCES = (np.ndarray, list, tuple)
-
-
-def _operands(*values):
-    """The ops for these arguments, and the arguments as floats, or as
-    float64 arrays (which broadcast) if any argument is a sequence."""
-    for v in values:
-        if type(v) is not float and isinstance(v, _SEQUENCES):
-            return _ArrayOps, [np.asarray(u, dtype=np.float64) for u in values]
-    return _FloatOps, list(map(float, values))
+def _unwrap(values):
+    """A 0-d result as a Python scalar (floats in, float out), else the array."""
+    return values.item() if np.ndim(values) == 0 else values
 
 
 def _outside_unit(values):
@@ -111,20 +74,18 @@ def exposure_at_default(funded, principal_received, annual_rate, term_months) ->
     EAD = outstanding * (1 + annual_rate * remaining_months / 12).
     Outstanding principal below 0 (overpaid loans) clamps to 0.
     """
-    ops, (funded, received, rate, term) = _operands(
-        funded, principal_received, annual_rate, term_months
-    )
-    ops.check(funded < 0, funded, "funded amount must be >= 0")
-    ops.check(rate < 0, rate, "interest rate must be >= 0")
-    ops.check(term < 0, term, "term must be >= 0 months")
+    funded, received, rate, term = _floats(funded, principal_received, annual_rate, term_months)
+    _check(~(funded >= 0), funded, "funded amount must be >= 0")
+    _check(~(rate >= 0), rate, "interest rate must be >= 0")
+    _check(~(term >= 0), term, "term must be >= 0 months")
     outstanding = funded - received
     clamped = outstanding < 0
-    outstanding = ops.where(clamped, 0.0, outstanding)
+    outstanding = np.where(clamped, 0.0, outstanding)
     live = (funded > 0) & (outstanding > 0)
-    prorated = term * outstanding / ops.where(live, funded, 1.0)
-    remaining = ops.ceil(ops.where(live, prorated, 0.0))
+    prorated = term * outstanding / np.where(live, funded, 1.0)
+    remaining = np.ceil(np.where(live, prorated, 0.0))
     amount = outstanding * (1.0 + rate * remaining / 12.0)
-    return Exposure(amount, remaining, clamped)
+    return Exposure(_unwrap(amount), _unwrap(remaining), _unwrap(clamped))
 
 
 def ead(funded: float, principal_received: float, annual_rate: float, term_months: int) -> EadResult:
@@ -132,7 +93,7 @@ def ead(funded: float, principal_received: float, annual_rate: float, term_month
     amount, remaining, clamped = exposure_at_default(
         funded, principal_received, annual_rate, term_months
     )
-    return EadResult(amount, clamped=clamped, remaining_months=remaining)
+    return EadResult(amount, clamped=clamped, remaining_months=int(remaining))
 
 
 def lgd(ead_amount, recovery_rate):
@@ -140,10 +101,10 @@ def lgd(ead_amount, recovery_rate):
 
     Arrays broadcast; floats give a float.
     """
-    ops, (ead_amount, recovery_rate) = _operands(ead_amount, recovery_rate)
-    ops.check(_outside_unit(recovery_rate), recovery_rate, "recovery rate must lie in [0, 1]")
-    ops.check(ead_amount < 0, ead_amount, "EAD must be >= 0")
-    return ead_amount * (1.0 - recovery_rate)
+    ead_amount, recovery_rate = _floats(ead_amount, recovery_rate)
+    _check(_outside_unit(recovery_rate), recovery_rate, "recovery rate must lie in [0, 1]")
+    _check(~(ead_amount >= 0), ead_amount, "EAD must be >= 0")
+    return _unwrap(ead_amount * (1.0 - recovery_rate))
 
 
 def expected_loss(pd, ead_amount, recovery_rate):
@@ -151,9 +112,9 @@ def expected_loss(pd, ead_amount, recovery_rate):
 
     Arrays broadcast; floats give a float.
     """
-    ops, (pd,) = _operands(pd)
-    ops.check(_outside_unit(pd), pd, "pd must lie in [0, 1]")
-    return pd * lgd(ead_amount, recovery_rate)
+    (pd,) = _floats(pd)
+    _check(_outside_unit(pd), pd, "pd must lie in [0, 1]")
+    return _unwrap(pd * lgd(ead_amount, recovery_rate))
 
 
 _TERM_RE = re.compile(r"(\d+)")

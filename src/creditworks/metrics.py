@@ -210,7 +210,7 @@ def roc(y_true, scores) -> RocCurve:
     s = np.asarray(scores, dtype=np.float64)
     if s.shape != y.shape:
         raise DataError(f"length mismatch: {y.size} labels vs {s.size} scores")
-    if np.any(s < 0.0) or np.any(s > 1.0):
+    if not ((s >= 0.0) & (s <= 1.0)).all():
         raise DataError("scores must lie in [0, 1]")
     n1 = int(np.count_nonzero(y == 1))
     n0 = int(y.size - n1)

@@ -628,6 +628,38 @@ def test_logreg_model_with_fractional_iteration_count_is_data_error(workdir, cap
     assert "max_iters must be an integer" in err, err
 
 
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        pytest.param(lambda model: model.pop("scaler"), "lacks the field 'scaler'", id="no-scaler"),
+        pytest.param(lambda model: model["scaler"]["columns"].reverse(), "other columns than the model",
+                     id="scaler-columns-differ"),
+    ],
+)
+def test_logreg_model_needs_a_scaler_on_its_columns(workdir, capsys, edit, fragment):
+    assert run(workdir, "train") == 0
+    path = workdir / "out" / "model.json"
+    model = read_json(path)
+    edit(model)
+    path.write_text(json.dumps(model), encoding="utf-8")
+    capsys.readouterr()
+    assert run(workdir, "score") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert fragment in err, err
+    assert not (workdir / "out" / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("spec", [False, "", 0, []])
+def test_falsy_column_spec_is_usage_error(workdir, capsys, spec):
+    write_config(workdir / "config.json", column_spec=spec)
+    assert run(workdir, "explore") == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "'column_spec'" in err, err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_config_is_checked_before_the_input_is_read(tmp_path, capsys, command):
     write_config(tmp_path / "config.json", input="absent.csv", model={"kind": "svm"})

@@ -270,3 +270,5 @@ def test_roc_validates_input():
         roc([0, 1], [0.5, 1.5])
     with pytest.raises(DataError):
         roc([0, 1], [0.5])
+    with pytest.raises(DataError, match=r"scores must lie in \[0, 1\]"):
+        roc([0, 1, 0, 1], [0.1, float("nan"), 0.3, 0.9])

@@ -234,6 +234,14 @@ def test_scalar_entry_points_return_floats():
         (lambda: expected_loss([0.5, np.nan], 1.0, 0.5), "pd must lie in [0, 1], got nan"),
         (lambda: fair_spreads(1.0, [1.0, 0.0], 0.0, 0.5, 0.5), "maturity must be positive, got 0.0"),
         (lambda: fair_spreads([1.0, -1.0], 1.0, 0.0, 0.5, 0.5), "notional must be >= 0, got -1.0"),
+        (lambda: exposure_at_default(np.nan, 0.0, 0.1, 12), "funded amount must be >= 0, got nan"),
+        (lambda: exposure_at_default(1.0, 0.0, [0.1, np.nan], 12), "interest rate must be >= 0, got nan"),
+        (lambda: exposure_at_default(1.0, 0.0, 0.1, np.nan), "term must be >= 0 months, got nan"),
+        (lambda: lgd(np.nan, 0.5), "EAD must be >= 0, got nan"),
+        (lambda: fair_spreads(np.nan, 1.0, 0.0, 0.5, 0.5), "notional must be >= 0, got nan"),
+        (lambda: fair_spreads(1.0, [1.0, np.nan], 0.0, 0.5, 0.5), "maturity must be positive, got nan"),
+        # One maturity for two contracts: the message names that maturity.
+        (lambda: fair_spreads(1.0, 1e300, 0.03, [0.2, 0.3], 0.4), "at maturity (years), got 1e+300"),
     ],
 )
 def test_array_validation_names_the_first_bad_value(call, fragment):

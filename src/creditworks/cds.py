@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .exposure import ExposureQuote, _check, _floats, _outside_unit, _unwrap
+from .exposure import ExposureQuote, _check, _check_nonnegative, _floats, _outside_unit, _unwrap
 
 
 def discount(rate: float, t: float) -> float:
@@ -45,7 +45,7 @@ def _per_distinct(f, values):
 def _check_terms(notional, maturity, pd, recovery_rate):
     """The contract terms as float64 arrays, checked."""
     notional, maturity, pd, recovery_rate = _floats(notional, maturity, pd, recovery_rate)
-    _check(~(notional >= 0), notional, "notional must be >= 0")
+    _check_nonnegative(notional, "notional")
     _check(~(maturity > 0), maturity, "maturity must be positive")
     _check(_outside_unit(pd), pd, "pd must lie in [0, 1]")
     _check(_outside_unit(recovery_rate), recovery_rate, "recovery rate must lie in [0, 1]")

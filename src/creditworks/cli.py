@@ -86,9 +86,12 @@ def _status_map(cfg: dict) -> None:
     mapping = cfg.get("status_map")
     if mapping is not None and not (
         isinstance(mapping, dict)
+        and mapping
         and all(type(label) is int and label in (0, 1) for label in mapping.values())
     ):
-        raise UsageError(f"config 'status_map' must map loan statuses to 0 or 1, got {mapping!r}")
+        raise UsageError(
+            f"config 'status_map' must map one or more loan statuses to 0 or 1, got {mapping!r}"
+        )
 
 
 def _resolve(base: Path, p: str) -> Path:
@@ -97,7 +100,9 @@ def _resolve(base: Path, p: str) -> Path:
 
 
 def _exposure_columns(cfg: dict) -> exposure.ExposureColumns:
-    overrides = cfg.get("exposure_columns") or {}
+    overrides = cfg.get("exposure_columns")
+    if overrides is None:
+        overrides = {}
     if not (isinstance(overrides, dict) and all(isinstance(v, str) for v in overrides.values())):
         raise UsageError(f"config 'exposure_columns' must map names to strings, got {overrides!r}")
     overrides = {"rate_scale": cfg.get("rate_scale", "percent"), **overrides}

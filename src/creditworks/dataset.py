@@ -29,9 +29,6 @@ COLUMN_ROLES = ("feature", "target", "exposure_aux", "drop")
 # is still in flight and carries no default label.
 STATUS_MAP = {"Fully Paid": 0, "Charged Off": 1}
 
-# Columns removed from the default spec before modeling.
-DEFAULT_DROP_COLUMNS = ("emp_title", "emp_length", "grade", "issue_d", "title")
-
 MISSING_POLICIES = ("drop_row", "fill_median_or_mode")
 
 
@@ -232,7 +229,7 @@ class RawLoanTable:
         """Per row the default label that the status map (STATUS_MAP unless
         the table carries one) gives the loan status: 0 or 1, and -1 where
         the status is missing or not mapped (a loan still in flight)."""
-        mapping = self.status_map or STATUS_MAP
+        mapping = STATUS_MAP if self.status_map is None else self.status_map
         values, codes = self.distinct(self.target_name)
         return np.array([mapping.get(v, -1) for v in values] + [-1], dtype=np.int64)[codes]
 
@@ -251,18 +248,12 @@ class RawLoanTable:
 
 # Records per parse block: bounds the raw cell strings held at once.
 BLOCK_ROWS = 256
-# Distinct cell texts a column parser caches before it starts afresh, so a
-# column of mostly distinct numbers costs memory per block, not per file.
-CACHE_LIMIT = 8192
-
-
-class _NonFiniteCell(Exception):
-    pass
 
 
 def _number(text: str) -> float:
     """A numeric cell: the stripped text less a trailing "%" (Lending Club
-    writes rates as "13.56%"), NaN when blank or no number."""
+    writes rates as "13.56%"), NaN when blank or no number, and inf for text
+    that parses to NaN or an infinity, which load_csv rejects."""
     try:
         number = float(text)  # float() strips whitespace as str.strip() does
     except ValueError:
@@ -271,50 +262,28 @@ def _number(text: str) -> float:
             number = float(value[:-1] if value.endswith("%") else value)
         except ValueError:
             return math.nan
-    if not math.isfinite(number):
-        raise _NonFiniteCell(text)
-    return number
+    return number if math.isfinite(number) else math.inf
 
 
-class _ColumnParser(dict):
-    """Parses one column block by block.
-
-    The dict maps each distinct cell text to its parsed value: a float (NaN
-    when missing or unparseable) for a numeric column, a level code (-1 when
-    missing) otherwise. Each text is parsed once while it stays cached.
-    """
-
-    def __init__(self, spec: ColumnSpec):
-        super().__init__()
-        self.spec = spec
-        self.numeric = spec.kind == "numeric"
-        self.levels: dict[str, int] = {}
-        self.blocks = [np.empty(0, dtype=np.float64 if self.numeric else np.intp)]
-
-    def __missing__(self, text: str):
-        if self.numeric:
-            parsed = _number(text)
-        else:
-            value = text.strip()
-            parsed = -1 if value == "" else self.levels.setdefault(value, len(self.levels))
-        self[text] = parsed
-        return parsed
-
-    def add(self, cells: tuple, lines: list) -> None:
-        try:
-            block = np.fromiter(map(self.__getitem__, cells), self.blocks[0].dtype, len(cells))
-        except _NonFiniteCell as bad:
+def _parse(spec: ColumnSpec, cells: tuple, lines: list, levels: dict | None) -> np.ndarray:
+    """One block of a column: floats (NaN when missing) for a numeric column,
+    else codes from levels, which maps each stripped text to its code (the
+    blank text to -1) and grows by each new text."""
+    if levels is None:
+        block = np.fromiter(map(_number, cells), np.float64, len(cells))
+        bad = np.isinf(block)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise ParseError(
-                f"numeric column {self.spec.name!r} holds the non-finite value "
-                f"{bad.args[0].strip()!r} at line {lines[cells.index(bad.args[0])]}"
-            ) from None
-        self.blocks.append(block)
-        if len(self) > CACHE_LIMIT:
-            self.clear()
-
-    def finish(self):
-        parsed = np.concatenate(self.blocks)
-        return parsed if self.numeric else Categorical.from_codes(list(self.levels), parsed)
+                f"numeric column {spec.name!r} holds the non-finite value "
+                f"{cells[i].strip()!r} at line {lines[i]}"
+            )
+        return block
+    texts = list(map(str.strip, cells))
+    # New codes follow set order; from_codes sorts the levels, so the column does not.
+    for text in set(texts).difference(levels):
+        levels[text] = len(levels) - 1
+    return np.fromiter(map(levels.__getitem__, texts), np.intp, len(cells))
 
 
 class _Utf8Reader(io.RawIOBase):
@@ -391,10 +360,11 @@ def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
     """Parse an RFC-4180 UTF-8 CSV with a header row into a RawLoanTable.
 
     The header must carry exactly the spec'd column names (any order). With
-    allow_extra, header columns absent from the spec are appended to the
-    schema as droppable text columns instead of raising. A numeric cell is
-    stripped and loses a trailing "%"; text that is no number is missing,
-    and text that parses to NaN or an infinity is a ParseError.
+    allow_extra, header columns absent from the spec are skipped instead of
+    raising: their field counts are checked, but they are not parsed and the
+    table's schema is the spec. A numeric cell is stripped and loses a
+    trailing "%"; text that is no number is missing, and text that parses
+    to NaN or an infinity is a ParseError.
     """
     specs = validate_schema(specs)
     fh, owned = _open_text(source)
@@ -410,30 +380,35 @@ def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
         dupes = [n for n, c in Counter(header).items() if c > 1]
         if dupes:
             raise SchemaError(f"duplicate header columns: {dupes}")
-        by_name = {s.name: s for s in specs}
         missing = [s.name for s in specs if s.name not in header]
         if missing:
             raise SchemaError(f"spec columns absent from header: {missing}")
-        extra = [h for h in header if h not in by_name]
+        names = {s.name for s in specs}
+        extra = [h for h in header if h not in names]
         if extra and not allow_extra:
             raise SchemaError(f"header columns absent from spec: {extra}")
 
-        schema = list(specs) + [ColumnSpec(h, "text", "drop") for h in extra]
-        positions = [header.index(s.name) for s in schema]
-        parsers = [_ColumnParser(s) for s in schema]
+        positions = [header.index(s.name) for s in specs]
+        levels = [None if s.kind == "numeric" else {"": -1} for s in specs]
+        blocks = [[np.empty(0, np.float64 if s.kind == "numeric" else np.intp)] for s in specs]
         for block, lines in _blocks(reader, len(header)):
             fields = list(zip(*block))
-            for parser, p in zip(parsers, positions):
-                parser.add(fields[p], lines)
+            for spec, p, seen, parsed in zip(specs, positions, levels, blocks):
+                parsed.append(_parse(spec, fields[p], lines, seen))
     finally:
         if owned:
             fh.close()
-    return RawLoanTable(schema=tuple(schema), columns=tuple(p.finish() for p in parsers))
+    columns = (
+        np.concatenate(parsed) if seen is None
+        else Categorical.from_codes(list(seen)[1:], np.concatenate(parsed))
+        for seen, parsed in zip(levels, blocks)
+    )
+    return RawLoanTable(schema=specs, columns=tuple(columns))
 
 
 def filter_terminal(table: RawLoanTable, status_map=None) -> RawLoanTable:
     """Keep only rows whose loan status is a terminal outcome (paid or charged off)."""
-    table = replace(table, status_map=dict(status_map or STATUS_MAP))
+    table = replace(table, status_map=dict(STATUS_MAP if status_map is None else status_map))
     keep = table.labels() >= 0
     if not keep.any():
         raise EmptyDatasetError(

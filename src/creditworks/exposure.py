@@ -37,10 +37,24 @@ class EadResult(float):
         return obj
 
 
+def _first(bad, values):
+    """The first of values where bad holds."""
+    return np.broadcast_to(values, bad.shape)[bad][0].item()
+
+
 def _check(bad, values, what: str) -> None:
     """DataError naming the first of values where bad holds."""
     if bad.any():
-        raise DataError(f"{what}, got {np.broadcast_to(values, bad.shape)[bad][0].item()}")
+        raise DataError(f"{what}, got {_first(bad, values)}")
+
+
+def _check_nonnegative(values, what: str, unit: str = "") -> None:
+    """DataError naming the first of values that is negative, NaN or infinite."""
+    bad = ~((values >= 0) & (values < math.inf))
+    if bad.any():
+        value = _first(bad, values)
+        rule = "finite" if value == math.inf else f">= 0{unit}"
+        raise DataError(f"{what} must be {rule}, got {value}")
 
 
 def _floats(*values):
@@ -75,9 +89,10 @@ def exposure_at_default(funded, principal_received, annual_rate, term_months) ->
     Outstanding principal below 0 (overpaid loans) clamps to 0.
     """
     funded, received, rate, term = _floats(funded, principal_received, annual_rate, term_months)
-    _check(~(funded >= 0), funded, "funded amount must be >= 0")
-    _check(~(rate >= 0), rate, "interest rate must be >= 0")
-    _check(~(term >= 0), term, "term must be >= 0 months")
+    _check_nonnegative(funded, "funded amount")
+    _check(~np.isfinite(received), received, "principal received must be finite")
+    _check_nonnegative(rate, "interest rate")
+    _check_nonnegative(term, "term", " months")
     outstanding = funded - received
     clamped = outstanding < 0
     outstanding = np.where(clamped, 0.0, outstanding)
@@ -103,7 +118,7 @@ def lgd(ead_amount, recovery_rate):
     """
     ead_amount, recovery_rate = _floats(ead_amount, recovery_rate)
     _check(_outside_unit(recovery_rate), recovery_rate, "recovery rate must lie in [0, 1]")
-    _check(~(ead_amount >= 0), ead_amount, "EAD must be >= 0")
+    _check_nonnegative(ead_amount, "EAD")
     return _unwrap(ead_amount * (1.0 - recovery_rate))
 
 

@@ -3,7 +3,9 @@
 Runs explore, prepare, train, evaluate, score and price under
 CREDITWORKS_CANONICAL=1 on the shared synthetic book, once with the
 logistic config and once with a 5-tree forest, and compares the sha256 of
-each file the commands write with the digests below. A refactor must leave
+each file the commands write with the digests below. The logistic run is
+repeated on the book with one more column, outside the spec, read with
+allow_extra_columns: it must change no byte. A refactor must leave
 them all unchanged; a change that alters bytes on purpose updates the
 digests here and says why in CHANGES.md.
 """
@@ -12,7 +14,7 @@ import hashlib
 
 import pytest
 
-from conftest import write_config, write_loans_csv
+from conftest import LOAN_HEADER, make_loan_rows, write_config, write_loans_csv
 from creditworks.cli import main
 
 COMMANDS = ("explore", "prepare", "train", "evaluate", "score", "price")
@@ -61,22 +63,41 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(CASES))
-def test_all_artifacts_match_golden_digests(tmp_path, monkeypatch, kind):
+def _digests(tmp_path, monkeypatch, loans=None, header=None, **config) -> dict:
+    """sha256 of every file the six commands write, by path under out/."""
     monkeypatch.setenv("CREDITWORKS_CANONICAL", "1")
-    model, own = CASES[kind]
-    write_loans_csv(tmp_path / "loans.csv")
-    write_config(tmp_path / "config.json", **({} if model is None else {"model": model}))
+    write_loans_csv(tmp_path / "loans.csv", loans, header)
+    write_config(tmp_path / "config.json", **config)
     for command in COMMANDS:
         assert main([command, "--config", str(tmp_path / "config.json")]) == 0, command
 
     out = tmp_path / "out"
-    digests = {
+    return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
         if p.is_file()
     }
-    expected = {**SHARED, **own}
+
+
+def _assert_golden(digests: dict, kind: str) -> None:
+    expected = {**SHARED, **CASES[kind][1]}
     assert sorted(digests) == sorted(expected)
     changed = sorted(name for name in expected if digests[name] != expected[name])
     assert changed == [], f"artifacts changed bytes: {changed}"
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_all_artifacts_match_golden_digests(tmp_path, monkeypatch, kind):
+    model = CASES[kind][0]
+    config = {} if model is None else {"model": model}
+    _assert_golden(_digests(tmp_path, monkeypatch, **config), kind)
+
+
+def test_unspecced_column_leaves_every_artifact_unchanged(tmp_path, monkeypatch):
+    """A column outside the spec, distinct on every row, read with
+    allow_extra_columns: the logistic digests stay the golden ones."""
+    loans = [[f"M{1_000_000 + i}", *row] for i, row in enumerate(make_loan_rows())]
+    digests = _digests(
+        tmp_path, monkeypatch, loans, ["member_id", *LOAN_HEADER], allow_extra_columns=True
+    )
+    _assert_golden(digests, "logreg")

@@ -439,6 +439,13 @@ def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overr
                      id="exposure-columns-string"),
         pytest.param("train", {"exposure_columns": {"funded": 5}}, "'exposure_columns'",
                      id="exposure-column-number"),
+        # Only an absent key or null selects the default columns or status map.
+        pytest.param("train", {"exposure_columns": False}, "'exposure_columns'",
+                     id="exposure-columns-false"),
+        pytest.param("train", {"exposure_columns": 0}, "'exposure_columns'", id="exposure-columns-zero"),
+        pytest.param("train", {"exposure_columns": []}, "'exposure_columns'",
+                     id="exposure-columns-empty-list"),
+        pytest.param("train", {"status_map": {}}, "'status_map'", id="status-map-empty"),
         pytest.param("train", {"rate_scale": "basis points"}, "rate_scale", id="rate-scale-unknown"),
         pytest.param("train", {"column_spec": 5}, "'column_spec'", id="column-spec-number"),
         pytest.param("train", {"input": 5}, "'input'", id="input-number"),

@@ -22,7 +22,6 @@ from creditworks import (
 )
 from creditworks import dataset
 from creditworks.dataset import (
-    DEFAULT_DROP_COLUMNS,
     STATUS_MAP,
     EncodeReport,
     load_column_specs,
@@ -91,9 +90,8 @@ def test_load_csv_allow_extra_appends_drop_column():
         THREE_COL,
         allow_extra=True,
     )
-    spec = table.spec_for("extra")
-    assert (spec.kind, spec.role) == ("text", "drop")
-    assert table.column("extra") == ["x"]
+    assert table.names == ("loan_amnt", "purpose", "loan_status")
+    assert table.column("purpose") == ["car"]
 
 
 def test_load_csv_ragged_row_reports_line():
@@ -126,7 +124,8 @@ def test_default_specs_cover_modeling_columns():
                      "sub_grade", "purpose", "loan_amnt", "term", "fico",
                      "loan_status", "recoveries"):
         assert required in names
-    assert DEFAULT_DROP_COLUMNS == ("emp_title", "emp_length", "grade", "issue_d", "title")
+    drops = tuple(s.name for s in default_column_specs() if s.role == "drop")
+    assert drops == ("emp_title", "emp_length", "grade", "issue_d", "title")
 
 
 def test_column_spec_rejects_unknown_kind_and_role():
@@ -164,6 +163,9 @@ def test_filter_terminal_keeps_paid_and_charged_off():
 def test_filter_terminal_all_current():
     with pytest.raises(EmptyDatasetError):
         filter_terminal(_status_table(["Current", "Current"]))
+    # An empty status map maps no status; it does not fall back to STATUS_MAP.
+    with pytest.raises(EmptyDatasetError, match=r"expected one of \[\]"):
+        filter_terminal(_status_table(["Fully Paid", "Charged Off"]), {})
 
 
 def test_filter_terminal_mixed_count_matches_hand_tally():
@@ -591,9 +593,11 @@ def _assert_views_match(table, schema, rows):
 
 
 def _assert_matches_reference(text, specs, status_map=None, policy="fill_median_or_mode"):
-    """Run the columnar and the reference chain on one CSV text; every stage must agree."""
+    """Run the columnar and the reference chain on one CSV text; every stage
+    must agree on the spec's columns (load_csv keeps no other)."""
     mapping = dict(status_map or STATUS_MAP)
     schema, rows = _ref_load(text, specs)
+    schema, rows = schema[: len(specs)], [row[: len(specs)] for row in rows]
     raw = load_csv(_csv(text), specs, allow_extra=True)
     _assert_views_match(raw, schema, rows)
 
@@ -663,12 +667,9 @@ def _book_text(n=300, seed=0):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize(
-    "block_rows, cache_limit", [(7, 5), (64, 100), (dataset.BLOCK_ROWS, dataset.CACHE_LIMIT)]
-)
-def test_columnar_chain_matches_reference_on_a_book(monkeypatch, block_rows, cache_limit):
+@pytest.mark.parametrize("block_rows", [7, 64, dataset.BLOCK_ROWS])
+def test_columnar_chain_matches_reference_on_a_book(monkeypatch, block_rows):
     monkeypatch.setattr(dataset, "BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(dataset, "CACHE_LIMIT", cache_limit)
     matrix, report = _assert_matches_reference(_book_text(), BOOK_SPECS)
     assert report.dropped_constant == ("policy_code",)
     assert "issue_d=Mar-2018" in matrix.columns

@@ -242,6 +242,16 @@ def test_scalar_entry_points_return_floats():
         (lambda: fair_spreads(1.0, [1.0, np.nan], 0.0, 0.5, 0.5), "maturity must be positive, got nan"),
         # One maturity for two contracts: the message names that maturity.
         (lambda: fair_spreads(1.0, 1e300, 0.03, [0.2, 0.3], 0.4), "at maturity (years), got 1e+300"),
+        # An infinite or NaN amount, rate or term: rejected, not priced as inf or NaN.
+        (lambda: exposure_at_default([1.0, np.inf], 0.0, 0.1, 12), "funded amount must be finite, got inf"),
+        (lambda: exposure_at_default([np.inf, -1.0], 0.0, 0.1, 12), "funded amount must be finite, got inf"),
+        (lambda: exposure_at_default(1.0, np.nan, 0.1, 12), "principal received must be finite, got nan"),
+        (lambda: exposure_at_default(1.0, [0.0, -np.inf], 0.1, 12), "principal received must be finite, got -inf"),
+        (lambda: exposure_at_default(1.0, 0.0, np.inf, 12), "interest rate must be finite, got inf"),
+        (lambda: exposure_at_default(1.0, 0.0, 0.1, [12, np.inf]), "term must be finite, got inf"),
+        (lambda: lgd(np.inf, 0.5), "EAD must be finite, got inf"),
+        (lambda: expected_loss(0.5, [1.0, np.inf], 0.5), "EAD must be finite, got inf"),
+        (lambda: fair_spreads(np.inf, 1.0, 0.0, 0.5, 0.5), "notional must be finite, got inf"),
     ],
 )
 def test_array_validation_names_the_first_bad_value(call, fragment):

@@ -173,7 +173,8 @@ def _model_config(cfg: dict, seed: int):
     kind = spec.pop("kind", "logreg")
     try:
         if kind == "logreg":
-            return kind, logreg.LogregConfig(seed=seed, **spec)
+            # The CLI always fits by Newton; "newton" is no config key (README).
+            return kind, logreg.LogregConfig(seed=seed, newton=True, **spec)
         if kind == "forest":
             params = forest.CartParams(
                 criterion=spec.pop("criterion", "gini"),
@@ -215,11 +216,25 @@ def _load_model(path: Path):
 
 
 def _check_columns(model_columns, matrix: dataset.DesignMatrix, path: Path) -> None:
-    if tuple(model_columns) != tuple(matrix.columns):
-        raise ModelDataMismatchError(
-            f"model {path} was trained on columns {list(model_columns)}, "
-            f"data encodes to {list(matrix.columns)}"
-        )
+    """ModelDataMismatchError, in one line, unless the matrix has the model's
+    columns in the model's order. The line names the model file in full and
+    at most three missing and three extra columns, cut to 120 characters."""
+    model_columns, data_columns = tuple(model_columns), tuple(matrix.columns)
+    if model_columns == data_columns:
+        return
+    in_model, in_data = set(model_columns), set(data_columns)
+    missing = [c for c in model_columns if c not in in_data]
+    extra = [c for c in data_columns if c not in in_model]
+    parts = [f"{what} {_first(names)}" for what, names in (("missing", missing), ("extra", extra)) if names]
+    detail = "; ".join(parts) or "same columns, other order"
+    if len(detail) > 120:
+        detail = detail[:117] + "..."
+    raise ModelDataMismatchError(f"data does not encode to the columns of model {path}: {detail}")
+
+
+def _first(names: list, shown: int = 3) -> str:
+    more = f" (+{len(names) - shown} more)" if len(names) > shown else ""
+    return ", ".join(names[:shown]) + more
 
 
 def _predictions(model_path: Path, matrix: dataset.DesignMatrix):
@@ -309,8 +324,8 @@ def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     kind, model_cfg = _model_config(cfg, cfg["seed"])
-    _, _, matrix, _ = _load(cfg, base)
-    train = _split(cfg, matrix).train
+    # Only the training split is kept: the whole matrix is freed before the fit.
+    train = _split(cfg, _load(cfg, base)[2]).train
 
     if kind == "logreg":
         scaler = features.fit_scaler(train)

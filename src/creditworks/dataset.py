@@ -377,13 +377,14 @@ def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
         except csv.Error as exc:
             raise ParseError(f"malformed CSV at line 1: {exc}") from exc
 
-        dupes = [n for n, c in Counter(header).items() if c > 1]
+        names = {s.name for s in specs}
+        # Only the spec's columns are read, so only their names must be unique.
+        dupes = [n for n, c in Counter(header).items() if c > 1 and n in names]
         if dupes:
             raise SchemaError(f"duplicate header columns: {dupes}")
         missing = [s.name for s in specs if s.name not in header]
         if missing:
             raise SchemaError(f"spec columns absent from header: {missing}")
-        names = {s.name for s in specs}
         extra = [h for h in header if h not in names]
         if extra and not allow_extra:
             raise SchemaError(f"header columns absent from spec: {extra}")

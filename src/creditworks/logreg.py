@@ -1,4 +1,5 @@
-"""Logistic regression trained by full-batch gradient descent on cross-entropy."""
+"""Logistic regression on cross-entropy, fitted by Newton's method or by
+full-batch gradient descent."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ from .errors import DataError, TrainingError, check_setting
 # Probabilities are clipped away from {0, 1} before the log so a saturated
 # sigmoid cannot produce an infinite loss.
 EPS = 1e-12
+
+# A Newton step is halved at most this often looking for a loss that does
+# not rise; 2**-40 of a step moves no weight of a sane fit.
+MAX_HALVINGS = 40
 
 
 def sigmoid(z):
@@ -46,37 +51,47 @@ def loss_and_gradient(x, y, weights, bias, l2=0.0):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:
         raise DataError("gradient of an empty batch is undefined")
+    return _objective(x, y, w, bias, l2)[:3]
+
+
+def _objective(x, y, w, bias, l2):
+    """(loss, grad_w, grad_b, p) of float64 arrays with at least one row."""
     p = sigmoid(x @ w + bias)
     loss = bce_loss(p, y)
     if l2:
         loss += 0.5 * l2 * float(np.dot(w, w))
     resid = p - y
-    grad_w = x.T @ resid / n
+    grad_w = x.T @ resid / x.shape[0]
     if l2:
         grad_w = grad_w + l2 * w
     grad_b = float(resid.mean())
-    return loss, grad_w, grad_b
+    return loss, grad_w, grad_b, p
 
 
 @dataclass(frozen=True)
 class LogregConfig:
+    """Fit settings. newton=True fits by Newton's method, as the CLI always
+    does; the default False fits by gradient descent at learning_rate, which
+    Newton ignores (see the README)."""
+
     learning_rate: float = 0.1
     max_iters: int = 1000
     tol: float = 1e-10
     l2: float = 0.0
     threshold: float = 0.5
-    # Accepted for interface symmetry with the forest; descent from the zero
-    # vector is deterministic so the value changes nothing.
+    # Accepted for interface symmetry with the forest; either fit starts
+    # from the zero vector and is deterministic, so the value changes nothing.
     seed: int = 0
+    newton: bool = False
 
     def __post_init__(self):
         for name in ("learning_rate", "tol", "l2", "threshold"):
             check_setting(name, getattr(self, name), float)
         for name in ("max_iters", "seed"):
             check_setting(name, getattr(self, name), int)
+        check_setting("newton", self.newton, bool)
         if self.learning_rate <= 0:
             raise TrainingError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_iters < 0:
@@ -163,11 +178,12 @@ class LogregModel:
 
 
 def fit_logreg(x, y, config: LogregConfig = LogregConfig(), columns=()) -> LogregModel:
-    """Full-batch gradient descent from the zero vector.
+    """Fit from the zero vector by Newton's method if config.newton, else
+    by full-batch gradient descent.
 
     history[0] is (0, loss before any step); each subsequent entry is the
-    loss after that iteration's update. Descent stops early once the loss
-    improves by less than tol between consecutive iterations.
+    loss after that iteration's update. Either fit stops early once the
+    loss improves by less than tol between consecutive iterations.
     """
     x = np.asarray(x, dtype=np.float64)
     y_arr = np.asarray(y, dtype=np.float64)
@@ -185,15 +201,24 @@ def fit_logreg(x, y, config: LogregConfig = LogregConfig(), columns=()) -> Logre
     if not np.all(np.isfinite(x)):
         raise TrainingError("training matrix contains non-finite values")
 
+    fit = _fit_newton if config.newton else _fit_gd
+    w, b, history = fit(x, y_arr, config)
+    return LogregModel(
+        weights=w, bias=b, config=config, history=tuple(history), columns=tuple(columns)
+    )
+
+
+def _fit_gd(x, y, config):
+    """Full-batch gradient descent at config.learning_rate."""
     w = np.zeros(x.shape[1], dtype=np.float64)
     b = 0.0
-    loss, grad_w, grad_b = loss_and_gradient(x, y_arr, w, b, config.l2)
+    loss, grad_w, grad_b, _ = _objective(x, y, w, b, config.l2)
     history = [(0, loss)]
     prev = loss
     for it in range(1, config.max_iters + 1):
         w = w - config.learning_rate * grad_w
         b = b - config.learning_rate * grad_b
-        loss, grad_w, grad_b = loss_and_gradient(x, y_arr, w, b, config.l2)
+        loss, grad_w, grad_b, _ = _objective(x, y, w, b, config.l2)
         history.append((it, loss))
         if not np.isfinite(loss):
             raise TrainingError(
@@ -202,6 +227,73 @@ def fit_logreg(x, y, config: LogregConfig = LogregConfig(), columns=()) -> Logre
         if abs(prev - loss) < config.tol:
             break
         prev = loss
-    return LogregModel(
-        weights=w, bias=b, config=config, history=tuple(history), columns=tuple(columns)
-    )
+    return w, b, history
+
+
+def _fit_newton(x, y, config):
+    """Newton's method on (weights, bias), each step halved until the loss
+    does not rise.
+
+    The step solves H s = g by least squares, so a singular Hessian (say,
+    two equal columns with l2 = 0) takes the minimum-norm step.
+    """
+    k = x.shape[1]
+    diag = np.arange(k)
+    w = np.zeros(k, dtype=np.float64)
+    b = 0.0
+    loss, grad_w, grad_b, p = _objective(x, y, w, b, config.l2)
+    history = [(0, loss)]
+    for it in range(1, config.max_iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _hessian(x, p)
+        if it == 1:
+            # An all-zero column (a level absent from the training rows) has a
+            # zero row and column in h and a zero gradient. It stays out of
+            # the solve, so its weight stays exactly 0, as under descent.
+            keep = np.flatnonzero(np.diagonal(h) > 0)
+        h[diag, diag] += config.l2
+        g = np.append(grad_w, grad_b)
+        # LAPACK's least squares may never return on a non-finite matrix.
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
+            raise TrainingError(
+                f"Newton iteration {it}: the Hessian is beyond the float range; rescale the features"
+            )
+        step = np.zeros(k + 1)
+        try:
+            step[keep] = np.linalg.lstsq(h[np.ix_(keep, keep)], g[keep], rcond=None)[0]
+        except np.linalg.LinAlgError as exc:
+            raise TrainingError(f"Newton step failed at iteration {it}: {exc}") from exc
+        if not np.all(np.isfinite(step)):
+            raise TrainingError(
+                f"Newton iteration {it} gives non-finite weights; rescale the features or set l2 > 0"
+            )
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            w_t, b_t = w - t * step[:k], b - t * float(step[k])
+            trial = _objective(x, y, w_t, b_t, config.l2)
+            if trial[0] <= loss:
+                break
+            t *= 0.5
+        else:
+            break  # no step lowers the loss: the fit is at its optimum
+        prev = loss
+        w, b = w_t, b_t
+        loss, grad_w, grad_b, p = trial
+        history.append((it, loss))
+        if prev - loss < config.tol:
+            break
+    return w, b, history
+
+
+def _hessian(x, p):
+    """Hessian of the mean cross-entropy in (weights, bias), without the L2
+    term: [[XᵀDX, XᵀD1], [1ᵀDX, ΣD]] / n with D = p(1-p)."""
+    n, k = x.shape
+    d = p * (1.0 - p)
+    root = x * np.sqrt(d)[:, None]
+    h = np.empty((k + 1, k + 1))
+    h[:k, :k] = root.T @ root
+    h[:k, k] = x.T @ d
+    h[k, :k] = h[:k, k]
+    h[k, k] = d.sum()
+    return h / n

@@ -2,12 +2,12 @@
 
 Runs explore, prepare, train, evaluate, score and price under
 CREDITWORKS_CANONICAL=1 on the shared synthetic book, once with the
-logistic config and once with a 5-tree forest, and compares the sha256 of
-each file the commands write with the digests below. The logistic run is
-repeated on the book with one more column, outside the spec, read with
-allow_extra_columns: it must change no byte. A refactor must leave
-them all unchanged; a change that alters bytes on purpose updates the
-digests here and says why in CHANGES.md.
+logistic config (fitted by Newton's method) and once with a 5-tree forest,
+and compares the sha256 of each file the commands write with the digests
+below. The logistic run is repeated on the book with one more column,
+outside the spec, read with allow_extra_columns: it must change no byte. A
+refactor must leave them all unchanged; a change that alters bytes on
+purpose updates the digests here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -38,13 +38,13 @@ CASES = {
         None,
         {
             "comparison.json": "4bbe4641ab230acabb8572ecec598791b481c5e245ac2a59d5dcf8ae0cbe6cf5",
-            "model.json": "49f8ea28e017d5778c332a6bbd0a2b174bf209a09e4d455c4eb738b0b415a2d6",
-            "pricing.csv": "60b5f4033f45afb4a423e8320aa85e57aec26778b9a2a8b29ae3de2c73793418",
+            "model.json": "558c4862c22f99618c19f662ab868ca7da658ffe8e9663a8139c64d43229af7b",
+            "pricing.csv": "7805a8b9e077a4779d3ea3821b30d21cba0fbb45b3141c34d94c17b2d0ccf191",
             "report.json": "eecf61ea5d60b06a33523c059332aa50135cceca1320f20ca30ce36b251c1509",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
-            "roc.csv": "98d98692aabb934ea3771f6024f62731c0a2cff6f4969f02209e7726e473052a",
-            "scores.csv": "54f9dd3c71bd201d54566fe561958685ca7adee58a2037a357ce3cb5aa06d25f",
-            "training_log.json": "9ea86f9e294aab1c063143058ad29f33444c45b53f281a2492627669e86a184a",
+            "roc.csv": "a9c1b2853102be22e9b17a743683c928cbe73f218934ead441e487a6eb3c2d8e",
+            "scores.csv": "d43b94112d96d898c1616768d1f7292d453d692ca1f0bf73314d1bf66e5b2a9e",
+            "training_log.json": "fa6c92199ac2ba64a68554fc34bd9a4ecf173e9c2dc586795f956d951015efc5",
         },
     ),
     "forest": (

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import LOAN_HEADER, make_loan_rows, write_config, write_loans_csv
-from creditworks import dataset, features, forest
+from creditworks import cli, dataset, features, forest
 from creditworks.cli import COMMANDS, main
+from creditworks.errors import ModelDataMismatchError
 
 
 @pytest.fixture(autouse=True)
@@ -226,6 +227,40 @@ def test_evaluate_against_mismatched_data_exits_4(tmp_path):
     write_loans_csv(tmp_path / "narrow.csv", narrow)
     write_config(tmp_path / "config.json", input="narrow.csv")
     assert run(tmp_path, "evaluate") == 4
+
+
+@pytest.mark.parametrize(
+    "relabel, expected",
+    [
+        pytest.param(lambda i, p: "wedding" if p == "small_business" else p,
+                     "missing purpose=small_business; extra purpose=wedding", id="one-level"),
+        pytest.param(lambda i, p: f"p{i % 8}",
+                     "missing purpose=credit_card, purpose=small_business; "
+                     "extra purpose=p1, purpose=p2, purpose=p3 (+4 more)", id="many-levels"),
+        pytest.param(lambda i, p: "z" * 60 + p, "extra purpose=zzz", id="long-names"),
+    ],
+)
+def test_score_column_mismatch_is_one_short_line(workdir, capsys, relabel, expected):
+    assert run(workdir, "train") == 0
+    column = LOAN_HEADER.index("purpose")
+    rows = make_loan_rows()
+    for i, row in enumerate(rows):
+        row[column] = relabel(i, row[column])
+    write_loans_csv(workdir / "loans.csv", rows)
+    capsys.readouterr()
+    assert run(workdir, "score") == 4
+    err = capsys.readouterr().err
+    model_path = f"model {workdir / 'out' / 'model.json'}: "
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    # The path is named in full; the rest of the line stays short.
+    assert model_path in err and len(err) - len(model_path) < 180, err
+    assert expected in err, err
+
+
+def test_column_order_mismatch_says_so():
+    matrix = dataset.DesignMatrix(columns=("b", "a"), x=np.zeros((1, 2)), y=np.zeros(1))
+    with pytest.raises(ModelDataMismatchError, match="same columns, other order$"):
+        cli._check_columns(("a", "b"), matrix, Path("model.json"))
 
 
 def test_evaluate_without_model_file_is_data_error(workdir):
@@ -455,6 +490,9 @@ def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overr
         pytest.param("train", {"model": {"kind": "logreg", "max_iters": 1.5}}, "max_iters",
                      id="max-iters-fraction"),
         pytest.param("train", {"model": {"kind": "logreg", "l2": True}}, "l2", id="l2-boolean"),
+        # The CLI always fits by Newton's method: "newton" is no config key.
+        pytest.param("train", {"model": {"kind": "logreg", "newton": False}}, "newton",
+                     id="newton-not-a-key"),
         pytest.param("train", {"model": {"kind": "forest", "n_trees": 2.5}}, "n_trees",
                      id="n-trees-fraction"),
         pytest.param("train", {"model": {"kind": "forest", "n_trees": True}}, "n_trees",
@@ -473,6 +511,18 @@ def test_wrongly_typed_config_value_is_usage_error(workdir, capsys, command, ove
     err = capsys.readouterr().err
     assert err.startswith("creditworks: ") and err.count("\n") == 1, err
     assert key in err, err
+    assert not (workdir / "out" / "model.json").exists()
+
+
+def test_non_finite_newton_step_is_training_error(workdir, capsys, monkeypatch):
+    def nan_solution(a, b, rcond=None):
+        return np.full(b.shape, np.nan), None, 0, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_solution)
+    assert run(workdir, "train") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: Newton iteration 1 gives non-finite weights"), err
+    assert err.count("\n") == 1, err
     assert not (workdir / "out" / "model.json").exists()
 
 
@@ -518,14 +568,24 @@ def test_price_with_term_beyond_discounting_range_is_data_error(workdir, capsys,
     assert not (workdir / "out" / "recovery.json").exists()
 
 
-def test_price_with_annuity_beyond_float_range_is_data_error(workdir, capsys):
-    # Nothing repaid, so the CDS maturity is the whole 23,600-year term: its
-    # discount factor at -3% is finite, the annuity it weights is not.
+def _write_unrepaid_long_loan(workdir, status: str) -> int:
+    """Rewrite the first loan of the status with nothing repaid and a
+    23,600-year term; returns its id."""
     rows = make_loan_rows()
-    index = next(i for i, r in enumerate(rows) if r[LOAN_HEADER.index("loan_status")] == "Charged Off")
+    index = next(i for i, r in enumerate(rows) if r[LOAN_HEADER.index("loan_status")] == status)
     rows[index][LOAN_HEADER.index("term")] = " 283200 months"
     rows[index][LOAN_HEADER.index("total_rec_prncp")] = 0.0
     write_loans_csv(workdir / "loans.csv", rows)
+    return index
+
+
+def test_price_with_annuity_beyond_float_range_is_data_error(workdir, capsys):
+    # Nothing repaid, so the CDS maturity is the whole 23,600-year term: its
+    # discount factor at -3% is finite, the annuity it weights is not. The
+    # book separates on fico, so a repaid loan's PD is near 0 and the
+    # survival branch (1 - pd) * T * D(r, T) carries the annuity past the
+    # float range. A charged-off loan's PD is near 1 (next test).
+    _write_unrepaid_long_loan(workdir, "Fully Paid")
     assert run(workdir, "train") == 0
     write_config(workdir / "config.json", risk_free_rate=-0.03)
     capsys.readouterr()
@@ -534,6 +594,19 @@ def test_price_with_annuity_beyond_float_range_is_data_error(workdir, capsys):
     assert err.startswith("creditworks: ") and err.count("\n") == 1, err
     assert "premium annuity" in err, err
     assert not (workdir / "out" / "pricing.csv").exists()
+
+
+def test_price_of_a_near_certain_default_is_finite(workdir):
+    # A charged-off loan with the same terms: 1 - pd is about 1e-11, so the
+    # survival branch of the annuity is finite.
+    index = _write_unrepaid_long_loan(workdir, "Charged Off")
+    assert run(workdir, "train") == 0
+    write_config(workdir / "config.json", risk_free_rate=-0.03)
+    assert run(workdir, "price") == 0
+    header, rows = read_csv(workdir / "out" / "pricing.csv")
+    loan = dict(zip(header, rows[index]))
+    assert loan["id"] == str(index) and float(loan["pd"]) > 1.0 - 1e-9
+    assert np.isfinite(float(loan["spread_bps"])) and float(loan["spread_bps"]) > 0
 
 
 def test_non_utf8_csv_is_data_error(workdir, capsys):

@@ -106,6 +106,19 @@ def test_load_csv_duplicate_header():
         load_csv(_csv("loan_amnt,loan_amnt,purpose,loan_status\n1,2,car,x\n"), THREE_COL)
 
 
+def test_load_csv_allow_extra_ignores_duplicate_names_outside_the_spec():
+    # Trailing commas, as some CSV exports write them: two blank names.
+    text = "loan_amnt,purpose,loan_status,,\n1,car,Fully Paid,,\n"
+    table = load_csv(_csv(text), THREE_COL, allow_extra=True)
+    assert table.names == ("loan_amnt", "purpose", "loan_status")
+    assert table.column("purpose") == ["car"]
+    with pytest.raises(SchemaError, match="absent from spec"):
+        load_csv(_csv(text), THREE_COL)
+    with pytest.raises(SchemaError, match="duplicate header columns: \\['purpose'\\]"):
+        load_csv(_csv("loan_amnt,purpose,purpose,loan_status\n1,car,car,x\n"), THREE_COL,
+                 allow_extra=True)
+
+
 def test_validate_schema_needs_one_target():
     with pytest.raises(SchemaError):
         validate_schema([ColumnSpec("a", "numeric")])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import make_blobs, write_loans_csv
 from creditworks import (
     LogregConfig,
     LogregModel,
@@ -12,6 +12,7 @@ from creditworks import (
     loss_and_gradient,
     sigmoid,
 )
+from creditworks import dataset, features
 from creditworks.errors import DataError, TrainingError
 
 
@@ -171,11 +172,12 @@ def test_fit_separates_well_spread_blobs():
 
 def test_fit_zero_iterations_returns_zero_model():
     x, y = make_blobs(n_per_class=20, seed=4)
-    model = fit_logreg(x, y, LogregConfig(max_iters=0))
-    assert np.all(model.weights == 0.0)
-    assert model.bias == 0.0
-    assert np.all(model.predict_proba(x) == 0.5)
-    assert len(model.history) == 1
+    for newton in (False, True):
+        model = fit_logreg(x, y, LogregConfig(max_iters=0, newton=newton))
+        assert np.all(model.weights == 0.0)
+        assert model.bias == 0.0
+        assert np.all(model.predict_proba(x) == 0.5)
+        assert len(model.history) == 1
 
 
 def test_fit_rejects_single_class():
@@ -265,3 +267,98 @@ def test_config_validation():
         LogregConfig(threshold=1.5)
     with pytest.raises(TrainingError):
         LogregConfig(l2=-0.1)
+    with pytest.raises(TrainingError, match="newton"):
+        LogregConfig(newton=1)
+    assert LogregConfig().newton is False
+
+
+def _book_train_matrix(tmp_path):
+    """The scaled training split of the conftest loan book, as the CLI's
+    train builds it (the book is perfectly separable on fico)."""
+    path = write_loans_csv(tmp_path / "loans.csv")
+    table = dataset.filter_terminal(dataset.load_csv(path, dataset.default_column_specs()))
+    matrix, _ = dataset.encode(dataset.handle_missing(dataset.drop_columns(table)))
+    train = dataset.split(matrix, 0.25, 11).train
+    return features.apply_scaler(features.fit_scaler(train), train)
+
+
+def _overlapping_blobs():
+    x, y = make_blobs(n_per_class=300, seed=21, centers=((0.0, 0.0), (1.5, 1.0)))
+    return (x - x.mean(axis=0)) / x.std(axis=0), y
+
+
+@pytest.mark.parametrize("data", ["book", "overlapping-blobs"])
+def test_newton_loss_not_above_gradient_descent(tmp_path, data):
+    if data == "book":
+        matrix = _book_train_matrix(tmp_path)
+        x, y = matrix.x, matrix.y
+    else:
+        x, y = _overlapping_blobs()
+    gd = fit_logreg(x, y, LogregConfig(learning_rate=0.1, max_iters=300))
+    newton = fit_logreg(x, y, LogregConfig(max_iters=300, newton=True))
+    assert newton.final_loss <= gd.final_loss
+    assert newton.n_iters < 300
+
+
+def test_newton_stops_at_the_optimum_in_a_few_steps():
+    x, y = _overlapping_blobs()
+    for l2 in (0.0, 0.05):
+        model = fit_logreg(x, y, LogregConfig(l2=l2, newton=True))
+        assert model.n_iters <= 10
+        _, grad_w, grad_b = loss_and_gradient(x, y, model.weights, model.bias, l2=l2)
+        assert np.max(np.abs(grad_w)) < 1e-8 and abs(grad_b) < 1e-8
+        losses = [loss for _, loss in model.history]
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+def test_newton_halves_a_step_that_would_raise_the_loss():
+    x = np.array([[0.37, 0.48], [0.85, 0.88], [-6.38, 3.53], [-2.93, 1.34],
+                  [-43.86, -1.37], [5.52, -0.33]])
+    y = np.array([1, 0, 1, 1, 1, 0])
+    four = fit_logreg(x, y, LogregConfig(max_iters=4, newton=True))
+    # The full Newton step from there, derived here from the textbook Hessian.
+    xa = np.hstack([x, np.ones((6, 1))])
+    p = four.predict_proba(x)
+    hessian = xa.T @ (xa * (p * (1 - p))[:, None]) / 6
+    _, grad_w, grad_b = loss_and_gradient(x, y, four.weights, four.bias)
+    step = np.linalg.solve(hessian, np.append(grad_w, grad_b))
+    full = loss_and_gradient(x, y, four.weights - step[:2], four.bias - step[2])[0]
+    assert full > four.final_loss + 0.01
+
+    model = fit_logreg(x, y, LogregConfig(newton=True))
+    assert model.history[:5] == four.history
+    losses = [loss for _, loss in model.history]
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert losses[5] < four.final_loss
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+def test_newton_leaves_an_all_zero_column_at_weight_zero(l2):
+    # A level seen only outside the training split scales to an all-zero
+    # column: with l2 = 0 the Hessian is singular there.
+    x, y = _overlapping_blobs()
+    x = np.insert(x, 1, 0.0, axis=1)
+    model = fit_logreg(x, y, LogregConfig(l2=l2, newton=True))
+    reference = fit_logreg(np.delete(x, 1, axis=1), y, LogregConfig(l2=l2, newton=True))
+    assert model.weights[1] == 0.0
+    assert np.allclose(np.delete(model.weights, 1), reference.weights, atol=1e-9)
+    assert model.final_loss == pytest.approx(reference.final_loss, abs=1e-12)
+
+
+def test_newton_on_separable_data_ends_with_finite_weights():
+    # Without l2 the optimum lies at infinity. The loss clips at EPS, so the
+    # improvement falls below tol and the fit stops with large finite weights.
+    x, y = make_blobs(n_per_class=50, seed=3, centers=((0.0, 0.0), (10.0, 10.0)))
+    model = fit_logreg(x, y, LogregConfig(newton=True))
+    assert np.all(np.isfinite(model.weights)) and math.isfinite(model.bias)
+    assert model.n_iters < 1000
+    assert model.final_loss < 1e-9
+    assert np.array_equal(model.classify(x), y)
+
+
+def test_newton_beyond_the_float_range_is_training_error():
+    # Features of 1e200 square past the float range in the Hessian; the
+    # least-squares solve must not be reached.
+    x = np.array([[1e200, 1.0], [-1e200, 2.0], [3e200, 0.5], [-2e200, 1.0]])
+    with pytest.raises(TrainingError, match="float range"):
+        fit_logreg(x, np.array([1, 0, 0, 1]), LogregConfig(newton=True))

@@ -1,6 +1,14 @@
 """Consumer-loan default modeling: data preparation, PD classifiers,
 loss exposure, and single-payment credit default swap pricing."""
 
+import os
+
+# One OpenBLAS thread unless the caller chose otherwise. The variable is read
+# when numpy first loads, which the submodule imports below trigger. A second
+# thread spins on small matrix-vector products, saving no wall time, and a
+# threaded reduction can change the bits of a result with the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cds import CdsQuote, CdsTerms, discount, fair_spread, price_for_loan
 from .dataset import (
     ColumnSpec,

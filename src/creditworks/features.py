@@ -33,11 +33,13 @@ def pearson(x, y) -> PearsonResult:
         raise DataError("pearson needs at least 2 observations")
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = float(np.sqrt(np.dot(dx, dx)))
-    sy = float(np.sqrt(np.dot(dy, dy)))
+    # einsum rather than np.dot: BLAS splits a long dot product across its
+    # threads, and the sum's bits then depend on the thread count.
+    sx = float(np.sqrt(np.einsum("i,i->", dx, dx)))
+    sy = float(np.sqrt(np.einsum("i,i->", dy, dy)))
     if sx == 0.0 or sy == 0.0:
         return PearsonResult(0.0, False)
-    return PearsonResult(float(np.dot(dx, dy) / (sx * sy)), True)
+    return PearsonResult(float(np.einsum("i,i->", dx, dy) / (sx * sy)), True)
 
 
 def correlation_report(matrix, target=None) -> tuple[tuple[str, float, bool], ...]:

@@ -498,8 +498,11 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on a fork in a process with several
-                    # threads, as numpy's OpenBLAS pool makes this one. The
-                    # child calls no BLAS routine and leaves through os._exit.
+                    # threads. A CLI process has one (importing the package
+                    # pins OpenBLAS to one thread), but a library caller that
+                    # loaded numpy first, or set OPENBLAS_NUM_THREADS, forks
+                    # with the OpenBLAS pool. The child calls no BLAS routine
+                    # and leaves through os._exit.
                     warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
                     children[w] = os.fork()
                 if children[w] == 0:

@@ -56,9 +56,15 @@ def loss_and_gradient(x, y, weights, bias, l2=0.0):
     return _objective(x, y, w, bias, l2)[:3]
 
 
+def _rows_dot(x, w):
+    """x @ w for a 2-D x, summed by numpy's own loop rather than BLAS, so the
+    bits do not depend on how many threads the BLAS library runs."""
+    return np.einsum("ij,j->i", x, w)
+
+
 def _objective(x, y, w, bias, l2):
     """(loss, grad_w, grad_b, p) of float64 arrays with at least one row."""
-    p = sigmoid(x @ w + bias)
+    p = sigmoid(_rows_dot(x, w) + bias)
     loss = bce_loss(p, y)
     if l2:
         loss += 0.5 * l2 * float(np.dot(w, w))
@@ -135,7 +141,7 @@ class LogregModel:
             raise DataError(
                 f"model has {self.weights.shape[0]} coefficients, input has {x.shape[1]} columns"
             )
-        return x @ self.weights + self.bias
+        return _rows_dot(x, self.weights) + self.bias
 
     def predict_proba(self, x) -> np.ndarray:
         return sigmoid(self.decision_function(x))
@@ -183,7 +189,8 @@ def fit_logreg(x, y, config: LogregConfig = LogregConfig(), columns=()) -> Logre
 
     history[0] is (0, loss before any step); each subsequent entry is the
     loss after that iteration's update. Either fit stops early once the
-    loss improves by less than tol between consecutive iterations.
+    loss moves by no more than tol between consecutive iterations, so
+    tol = 0 still stops once the loss stops changing.
     """
     x = np.asarray(x, dtype=np.float64)
     y_arr = np.asarray(y, dtype=np.float64)
@@ -224,7 +231,7 @@ def _fit_gd(x, y, config):
             raise TrainingError(
                 f"loss diverged at iteration {it}; lower the learning rate"
             )
-        if abs(prev - loss) < config.tol:
+        if abs(prev - loss) <= config.tol:
             break
         prev = loss
     return w, b, history
@@ -280,7 +287,7 @@ def _fit_newton(x, y, config):
         w, b = w_t, b_t
         loss, grad_w, grad_b, p = trial
         history.append((it, loss))
-        if prev - loss < config.tol:
+        if prev - loss <= config.tol:
             break
     return w, b, history
 

@@ -21,7 +21,7 @@ COMMANDS = ("explore", "prepare", "train", "evaluate", "score", "price")
 
 # Artifacts that do not depend on the model kind.
 SHARED = {
-    "correlation.csv": "5a9dfa2893f6c37b015ec884fe3cbc338b9378321a1f4fec1239a53702625d14",
+    "correlation.csv": "9901bee74ba9311d0cb3903196749da1f2bdfcedd241c17d9c35978fda36b613",
     "prepared/columns.json": "906fe50a82b6bd424467be67a3da96380a0dcec58f885b8588ef28f7cf2ab155",
     "prepared/encode_report.json": "ac8a1251e2b7795947f22379054d50951097ef386eb2a28067a5f1c34af4a1aa",
     "prepared/scaler.json": "820f3b6bfabe2fa781d98cbaee2aea4b3fa864228a9f1112ee6436f7726a708f",
@@ -38,13 +38,13 @@ CASES = {
         None,
         {
             "comparison.json": "4bbe4641ab230acabb8572ecec598791b481c5e245ac2a59d5dcf8ae0cbe6cf5",
-            "model.json": "558c4862c22f99618c19f662ab868ca7da658ffe8e9663a8139c64d43229af7b",
-            "pricing.csv": "7805a8b9e077a4779d3ea3821b30d21cba0fbb45b3141c34d94c17b2d0ccf191",
+            "model.json": "b443de6f91b12f85dc1568456abad6b376acd3c9b50e4a41f17f869f786037ea",
+            "pricing.csv": "3d20b55268ecdd52cdc4bbe93e7a9af9c66d3cb93b731187aaee65ec66e6faf9",
             "report.json": "eecf61ea5d60b06a33523c059332aa50135cceca1320f20ca30ce36b251c1509",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
             "roc.csv": "a9c1b2853102be22e9b17a743683c928cbe73f218934ead441e487a6eb3c2d8e",
-            "scores.csv": "d43b94112d96d898c1616768d1f7292d453d692ca1f0bf73314d1bf66e5b2a9e",
-            "training_log.json": "fa6c92199ac2ba64a68554fc34bd9a4ecf173e9c2dc586795f956d951015efc5",
+            "scores.csv": "e41b0e6afe6feb071d7c97d264568ea1debe00f70dd4594203f8171c655205e3",
+            "training_log.json": "b5030df6bf80a316b72d739669ccd2a1b01130e24002e835bee302471d5364b1",
         },
     ),
     "forest": (

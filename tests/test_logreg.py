@@ -356,6 +356,21 @@ def test_newton_on_separable_data_ends_with_finite_weights():
     assert np.array_equal(model.classify(x), y)
 
 
+@pytest.mark.parametrize("newton", [True, False])
+def test_zero_tol_stops_once_the_loss_stops_moving(newton):
+    # Newton on separable blobs flattens at the clipped loss floor; descent
+    # at a large rate on a centred, overlapping pair converges to its last bit.
+    if newton:
+        x, y = make_blobs(n_per_class=50, seed=3, centers=((0.0, 0.0), (10.0, 10.0)))
+    else:
+        x, y = make_blobs(n_per_class=200, seed=1, centers=((0.0, 0.0), (1.0, 1.0)), scale=2.0)
+        x = x - x.mean(axis=0)
+    config = LogregConfig(learning_rate=1.0, max_iters=10_000, tol=0.0, newton=newton)
+    model = fit_logreg(x, y, config)
+    assert model.n_iters < 100
+    assert model.history[-1][1] == model.history[-2][1]
+
+
 def test_newton_beyond_the_float_range_is_training_error():
     # Features of 1e200 square past the float range in the Hessian; the
     # least-squares solve must not be reached.

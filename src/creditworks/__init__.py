@@ -65,7 +65,6 @@ from .forest import (
     forest_from_json_dict,
     forest_to_json_dict,
     gini,
-    information_gain,
 )
 from .logreg import (
     LogregConfig,

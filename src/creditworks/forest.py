@@ -58,54 +58,29 @@ def entropy(n0: int, n1: int) -> float:
     return float(_impurity_from_counts(n0, n1, "entropy"))
 
 
-def information_gain(parent, left, right, criterion: str = "gini") -> float:
-    """Parent impurity minus the size-weighted mean of child impurities.
+def _best_cut(values, labels, criterion):
+    """Highest-gain cut over a node's candidate features.
 
-    parent, left and right are (count0, count1) pairs and the children must
-    partition the parent exactly. Rounding can push the weighted child term
-    a few ulps past the parent impurity, so the result is floored at 0.
+    values is (k, n): row r holds one candidate feature's values over the
+    node's n samples, and labels holds the samples' 0/1 classes. Each row is
+    sorted here. A cut between sorted positions p and p + 1 is a candidate
+    where the two values differ, at their midpoint; the class counts on
+    either side of it do not depend on how equal values are ordered, so the
+    sort need not be stable. Ties break toward the lowest row, then the
+    lowest threshold. Returns (row, threshold, gain), or None without a
+    candidate.
     """
-    if criterion not in CRITERIA:
-        raise TrainingError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
-    p0, p1 = parent
-    l0, l1 = left
-    r0, r1 = right
-    _check_counts(p0, p1, "parent")
-    _check_counts(l0, l1, "left child")
-    _check_counts(r0, r1, "right child")
-    if l0 + r0 != p0 or l1 + r1 != p1:
-        raise DataError(
-            f"children ({l0},{l1}) + ({r0},{r1}) do not partition parent ({p0},{p1})"
-        )
-    n = p0 + p1
-    wl = (l0 + l1) / n
-    wr = (r0 + r1) / n
-    gain = (
-        _impurity_from_counts(p0, p1, criterion)
-        - wl * _impurity_from_counts(l0, l1, criterion)
-        - wr * _impurity_from_counts(r0, r1, criterion)
-    )
-    return max(0.0, float(gain))
-
-
-def _best_cut(sv, sy, criterion):
-    """Highest-gain cut over presorted candidate features.
-
-    sv and sy are (k, n): row r holds one feature's values over a node's n
-    samples in ascending order, and the samples' labels in that order. A
-    cut between sorted positions p and p + 1 is a candidate where the two
-    values differ. Ties break toward the lowest row, then the lowest
-    position. Returns (row, position, gain), or None without a candidate.
-    """
+    order = np.argsort(values, axis=1)
+    # take_along_axis's index, without its Python overhead at every node.
+    sv = values[np.arange(len(values))[:, None], order]
     # Row-major order, so the first argmax below is the tie-break winner.
     rows, pos = np.nonzero(sv[:, :-1] < sv[:, 1:])
     if rows.size == 0:
         return None
     n = sv.shape[1]
-    prefix1 = np.cumsum(sy, axis=1)
-    n1p = int(prefix1[0, -1])
+    n1p = int(labels.sum())
     nl = (pos + 1).astype(np.float64)
-    nl1 = prefix1[rows, pos].astype(np.float64)
+    nl1 = np.cumsum(labels[order], axis=1)[rows, pos].astype(np.float64)
     nl0 = nl - nl1
     nr = n - nl
     nr1 = n1p - nl1
@@ -116,7 +91,18 @@ def _best_cut(sv, sy, criterion):
         - (nr / n) * _impurity_from_counts(nr0, nr1, criterion)
     )
     b = int(np.argmax(gains))
-    return int(rows[b]), int(pos[b]), float(gains[b])
+    r, p = rows[b], pos[b]
+    return int(r), float((sv[r, p] + sv[r, p + 1]) / 2.0), float(gains[b])
+
+
+def _check_rows(rows, n: int) -> np.ndarray:
+    """rows as indices into n samples, all of them when None."""
+    if rows is None:
+        return np.arange(n)
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise DataError(f"row index outside [0, {n})")
+    return rows
 
 
 def best_split(x, y, rows=None, features=None, criterion: str = "gini"):
@@ -125,26 +111,22 @@ def best_split(x, y, rows=None, features=None, criterion: str = "gini"):
     Candidate thresholds are midpoints between consecutive distinct sorted
     values of each candidate feature. Ties break toward the lowest feature
     index, then the lowest threshold. Returns (feature, threshold, gain), or
-    None when every candidate feature is constant over the row subset.
+    None when every candidate feature is constant over the row subset. x
+    and y are checked as for fit_cart, and a row or feature index outside
+    x raises DataError.
     """
     if criterion not in CRITERIA:
         raise TrainingError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-    if rows.size < 2:
-        return None
-    feats = range(x.shape[1]) if features is None else sorted(int(f) for f in set(features))
-    feats = np.asarray(feats, dtype=np.intp)
-
-    values = x[np.ix_(rows, feats)].T
-    order = np.argsort(values, axis=1, kind="stable")
-    sv = np.take_along_axis(values, order, axis=1)
-    found = _best_cut(sv, y[rows].astype(np.int64)[order], criterion)
+    x, y = _check_xy(x, y)
+    rows = _check_rows(rows, x.shape[0])
+    feats = np.arange(x.shape[1]) if features is None else np.unique(np.asarray(features, dtype=np.intp))
+    if feats.size and (feats[0] < 0 or feats[-1] >= x.shape[1]):
+        raise DataError(f"feature index outside [0, {x.shape[1]})")
+    found = _best_cut(x[rows[:, None], feats].T, y[rows], criterion)
     if found is None:
         return None
-    r, p, gain = found
-    return int(feats[r]), float((sv[r, p] + sv[r, p + 1]) / 2.0), max(0.0, gain)
+    r, cut, gain = found
+    return int(feats[r]), cut, max(0.0, gain)
 
 
 @dataclass(frozen=True)
@@ -290,39 +272,32 @@ def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> Ca
     feature subset from rng in preorder (node, then left subtree, then
     right subtree), which pins the tree for a given generator state.
 
-    Every feature is sorted once over rows, stably, so equal values keep
-    their order in rows. A split partitions each feature's sorted order
-    stably into the children's, so no node sorts again (CART presorting).
+    Each split node sorts only its drawn features, over its own rows (see
+    _best_cut), and sends a row left when its value is <= the threshold.
     """
     x, y = _check_xy(x, y)
     n_cols = x.shape[1]
     k = _resolve_subsample(params, n_cols)
     if k < n_cols and rng is None:
         raise TrainingError("feature subsampling requires an rng")
-    rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    rows = _check_rows(rows, x.shape[0])
     if rows.size == 0:
         raise TrainingError("cannot fit on an empty row subset")
-
-    # Samples are positions in rows. order[j] lists a node's samples by
-    # ascending feature j; without features one row still tracks membership.
-    xt = np.ascontiguousarray(x[rows].T)
-    ys = y[rows]
-    order = np.argsort(xt, axis=1, kind="stable") if n_cols else np.arange(rows.size)[None]
-    goes_left = np.empty(rows.size, dtype=bool)
     every_feature = np.arange(n_cols)
 
     arrays = {name: [] for name in TREE_ARRAYS}
     feature, threshold = arrays["feature"], arrays["threshold"]
-    # (sorted samples, depth, node whose right child this is or -1). In
-    # preorder a left child is numbered right after its parent.
-    stack = [(order, 0, -1)]
+    # (rows, depth, node whose right child this is or -1). In preorder a
+    # left child is numbered right after its parent.
+    stack = [(rows, 0, -1)]
     while stack:
         idx, depth, right_of = stack.pop()
         node = len(feature)
         if right_of >= 0:
             arrays["right"][right_of] = node
-        n = idx.shape[1]
-        n1 = int(ys[idx[0]].sum())
+        labels = y[idx]
+        n = idx.size
+        n1 = int(labels.sum())
         n0 = n - n1
         for name, value in zip(TREE_ARRAYS, (-1, 0.0, -1, -1, n0, n1)):
             arrays[name].append(value)
@@ -334,26 +309,21 @@ def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> Ca
         ):
             continue
         feats = np.sort(rng.choice(n_cols, size=k, replace=False)) if k < n_cols else every_feature
-        sub = idx[feats]
-        sv = xt[feats[:, None], sub]
-        found = _best_cut(sv, ys[sub], params.criterion)
+        values = x[idx[:, None], feats].T
+        found = _best_cut(values, labels, params.criterion)
         if found is None:
             continue
-        r, p, _ = found
-        cut = (sv[r, p] + sv[r, p + 1]) / 2.0
-        n_left = int(np.searchsorted(sv[r], cut, side="right"))
-        if n_left == n:
+        r, cut, _ = found
+        left = values[r] <= cut
+        if left.all():
             # The midpoint rounded onto the upper value (adjacent floats), so
             # "<=" keeps every sample on the left: the cut separates nothing.
             continue
-        goes_left[sub[r, :n_left]] = True
-        goes_left[sub[r, n_left:]] = False
-        mask = goes_left[idx]
         feature[node] = int(feats[r])
-        threshold[node] = float(cut)
+        threshold[node] = cut
         arrays["left"][node] = node + 1
-        stack.append((idx[~mask].reshape(len(idx), n - n_left), depth + 1, node))
-        stack.append((idx[mask].reshape(len(idx), n_left), depth + 1, -1))
+        stack.append((idx[~left], depth + 1, node))
+        stack.append((idx[left], depth + 1, -1))
 
     return CartTree(
         **{name: np.asarray(arrays[name], dtype=_dtype(name)) for name in TREE_ARRAYS},
@@ -402,11 +372,15 @@ class Forest:
         return (self.predict_proba(x) >= threshold).astype(np.int64)
 
 
-# An extra worker holds its own per-tree working set (x[rows], its transpose,
-# the int64 sort order and the node partitions copied from it). Measured as
-# the rise in summed proportional set size over a serial fit: 4.9 times
-# x.nbytes on a 1M x 14 matrix, 5.2 for a 100k-row book's train, 6.2 on a
-# 100k x 14 matrix, where the interpreter pages a child copies weigh more.
+# An extra worker holds its own per-tree working set: the bootstrap rows and,
+# at each node, the drawn features' gathered values, their sort order and
+# sorted copy, and counts and gains per candidate cut. Measured as the rise
+# in summed proportional set size over a serial fit, two runs each, with
+# "auto" subsampling: 0.5-1.1 times x.nbytes for a 100k-row book's train
+# matrix (67.6k x 55, mostly 0/1 dummies), 1.9-3.0 on a 100k x 14 matrix of
+# distinct values. 6 covers both. Searching every feature at each node
+# (feature_subsample None) costs 3.2-4.5 and 9.5-12.5, since the root then
+# holds float arrays over k * n candidate cuts; 6 does not cover the latter.
 _WORKER_BYTES_PER_X_BYTE = 6
 # The largest pool whose speed and memory have been measured, on a 2-CPU host.
 _MAX_WORKERS = 2

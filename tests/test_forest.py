@@ -24,7 +24,6 @@ from creditworks import (
     forest_from_json_dict,
     forest_to_json_dict,
     gini,
-    information_gain,
 )
 from creditworks import forest
 from creditworks.errors import DataError, TrainingError
@@ -55,20 +54,6 @@ def test_impurity_properties():
         gini(0, 0)
     with pytest.raises(DataError):
         entropy(-1, 2)
-
-
-def test_information_gain_perfect_split():
-    assert information_gain((2, 2), (2, 0), (0, 2), criterion="gini") == 0.5
-    assert information_gain((2, 2), (2, 0), (0, 2), criterion="entropy") == 1.0
-
-
-def test_information_gain_zero_when_ratios_match():
-    assert information_gain((2, 2), (1, 1), (1, 1), criterion="gini") == 0.0
-
-
-def test_information_gain_rejects_degenerate_partition():
-    with pytest.raises(DataError):
-        information_gain((1, 1), (2, 0), (0, 1))
 
 
 def test_best_split_hand_fixture():
@@ -139,7 +124,7 @@ def _reference_cart(x, y, params, rng=None, rows=None):
     """The recursive CART build fit_cart replaced, on top of best_split.
 
     Returns the tree as preorder lists in CartTree's layout, so fit_cart's
-    presorted iterative build can be compared with it array by array.
+    iterative build can be compared with it array by array.
     """
     n_cols = x.shape[1]
     fs = params.feature_subsample
@@ -198,11 +183,14 @@ def _tie_heavy_data(seed, n=160):
 
 def test_best_split_agrees_with_brute_force():
     rng = np.random.default_rng(77)
-    for trial in range(200):
-        n = int(rng.integers(2, 9))
+    for trial in range(260):
+        # numpy's default sort is not stable, so equal values come out in
+        # any order; the counts at a cut must not depend on it. The last 60
+        # cases hold 17-200 rows, so each value repeats many times.
+        n = int(rng.integers(2, 9)) if trial < 200 else int(rng.integers(17, 201))
         d = int(rng.integers(1, 4))
         # Small integer grid forces repeated values and candidate ties.
-        x = rng.integers(0, 4, size=(n, d)).astype(float)
+        x = rng.integers(0, 4 if trial % 3 else 12, size=(n, d)).astype(float)
         y = rng.integers(0, 2, size=n).astype(np.int64)
         criterion = "gini" if trial % 2 == 0 else "entropy"
         got = best_split(x, y, criterion=criterion)
@@ -214,6 +202,40 @@ def test_best_split_agrees_with_brute_force():
         assert got[0] == want[0]
         assert got[1] == want[1]
         assert got[2] == pytest.approx(want[2], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rows, features",
+    [
+        pytest.param(None, [-1], id="feature-minus-1"),
+        pytest.param(None, [0, 5], id="feature-past-last"),
+        pytest.param([-1, 0, 1], None, id="row-minus-1"),
+        pytest.param([0, 1, 4], None, id="row-past-last"),
+    ],
+)
+def test_best_split_rejects_indices_outside_the_matrix(rows, features):
+    x = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
+    y = np.array([0, 0, 1, 1])
+    with pytest.raises(DataError, match="index outside"):
+        best_split(x, y, rows=rows, features=features)
+
+
+@pytest.mark.parametrize("rows", [[-1, 0, 1], [0, 1, 4]], ids=["minus-1", "past-last"])
+def test_fit_cart_rejects_rows_outside_the_matrix(rows):
+    x = np.array([[1.0], [2.0], [3.0], [4.0]])
+    with pytest.raises(DataError, match=r"row index outside \[0, 4\)"):
+        fit_cart(x, np.array([0, 0, 1, 1]), rows=rows)
+
+
+def test_zero_column_matrix_grows_single_leaf_trees():
+    x = np.zeros((6, 0))
+    y = np.array([0, 1, 1, 0, 1, 1])
+    tree = fit_cart(x, y)
+    assert tree.stats() == {"nodes": 1, "leaves": 1, "depth": 0}
+    assert (tree.count0.tolist(), tree.count1.tolist()) == ([2], [4])
+    grown = fit_forest(x, y, ForestConfig(n_trees=3, seed=2))
+    assert all(t.stats()["nodes"] == 1 for t in grown.trees)
+    assert grown.predict_proba(np.zeros((2, 0))).shape == (2,)
 
 
 def test_fit_cart_pure_labels_single_leaf():

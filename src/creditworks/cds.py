@@ -35,13 +35,6 @@ def discount(rate: float, t: float) -> float:
         ) from exc
 
 
-def _per_distinct(f, values):
-    """f (a function of one float) applied once per distinct value."""
-    distinct, index = np.unique(values.ravel(), return_inverse=True)
-    mapped = np.array([f(v) for v in distinct.tolist()], dtype=np.float64)
-    return mapped[index.reshape(values.shape)]
-
-
 def _check_terms(notional, maturity, pd, recovery_rate):
     """The contract terms as float64 arrays, checked."""
     notional, maturity, pd, recovery_rate = _floats(notional, maturity, pd, recovery_rate)
@@ -91,8 +84,10 @@ def fair_spreads(notional, maturity, risk_free_rate: float, pd, recovery_rate) -
     """
     notional, maturity, pd, recovery_rate = _check_terms(notional, maturity, pd, recovery_rate)
     tau = maturity / 2.0
-    d_tau = _per_distinct(lambda t: discount(risk_free_rate, t / 2.0), maturity)
-    d_mat = _per_distinct(lambda t: discount(risk_free_rate, t), maturity)
+    distinct, index = np.unique(maturity.ravel(), return_inverse=True)
+    index = index.reshape(maturity.shape)
+    d_tau = np.array([discount(risk_free_rate, t / 2.0) for t in distinct.tolist()])[index]
+    d_mat = np.array([discount(risk_free_rate, t) for t in distinct.tolist()])[index]
     protection_unit = (1.0 - recovery_rate) * pd * d_tau
     # An annuity past the float range is inf (or NaN) with a numpy warning;
     # the check below reports it as a DataError instead.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import operator
@@ -63,14 +64,15 @@ def _read_config(path: str) -> tuple[dict, Path]:
     return cfg, p.parent
 
 
-def _config_float(cfg: dict, key: str, default: float) -> float:
-    value = cfg.get(key, default)
+def _finite(value, what: str) -> float:
+    """A config number as a float; UsageError naming what unless it is a
+    finite number (or a string float() reads as one) and no bool."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
     if isinstance(value, bool) or not math.isfinite(number):
-        raise UsageError(f"config {key!r} must be a finite number, got {value!r}")
+        raise UsageError(f"{what} must be a finite number, got {value!r}")
     return number
 
 
@@ -105,9 +107,10 @@ def _exposure_columns(cfg: dict) -> exposure.ExposureColumns:
         overrides = {}
     if not (isinstance(overrides, dict) and all(isinstance(v, str) for v in overrides.values())):
         raise UsageError(f"config 'exposure_columns' must map names to strings, got {overrides!r}")
-    overrides = {"rate_scale": cfg.get("rate_scale", "percent"), **overrides}
+    if "rate_scale" in overrides:
+        raise UsageError("config 'rate_scale' is a top-level key, not an 'exposure_columns' entry")
     try:
-        return exposure.ExposureColumns(**overrides)
+        return exposure.ExposureColumns(rate_scale=cfg.get("rate_scale", "percent"), **overrides)
     except (TypeError, DataError) as exc:
         raise UsageError(f"bad exposure_columns in config: {exc}") from exc
 
@@ -128,10 +131,10 @@ def _check_config(cfg: dict) -> None:
         raise UsageError(
             f"config 'missing_policy' must be one of {dataset.MISSING_POLICIES}, got {policy!r}"
         )
-    fraction = _config_float(cfg, "test_fraction", 0.2)
+    fraction = _finite(cfg.get("test_fraction", 0.2), "config 'test_fraction'")
     if not 0.0 < fraction < 1.0:
         raise UsageError(f"config 'test_fraction' must lie in (0, 1), got {fraction}")
-    _config_float(cfg, "risk_free_rate", 0.0)
+    _finite(cfg.get("risk_free_rate", 0.0), "config 'risk_free_rate'")
     _exposure_columns(cfg)
     _threshold_rules(cfg)
     _model_config(cfg, seed)
@@ -160,7 +163,8 @@ def _load(cfg: dict, base: Path):
 
 
 def _split(cfg: dict, matrix: dataset.DesignMatrix) -> dataset.SplitPair:
-    return dataset.split(matrix, _config_float(cfg, "test_fraction", 0.2), cfg["seed"])
+    fraction = _finite(cfg.get("test_fraction", 0.2), "config 'test_fraction'")
+    return dataset.split(matrix, fraction, cfg["seed"])
 
 
 def _model_config(cfg: dict, seed: int):
@@ -176,12 +180,9 @@ def _model_config(cfg: dict, seed: int):
             # The CLI always fits by Newton; "newton" is no config key (README).
             return kind, logreg.LogregConfig(seed=seed, newton=True, **spec)
         if kind == "forest":
-            params = forest.CartParams(
-                criterion=spec.pop("criterion", "gini"),
-                max_depth=spec.pop("max_depth", None),
-                min_samples_split=spec.pop("min_samples_split", 2),
-                feature_subsample=spec.pop("feature_subsample", "auto"),
-            )
+            # Tree settings the config leaves out keep ForestConfig's defaults.
+            tree = {f.name: spec.pop(f.name) for f in dataclasses.fields(forest.CartParams) if f.name in spec}
+            params = dataclasses.replace(forest.ForestConfig().params, **tree)
             return kind, forest.ForestConfig(seed=seed, params=params, **spec)
     except (TypeError, TrainingError) as exc:
         raise UsageError(f"bad model settings: {exc}") from exc
@@ -256,9 +257,10 @@ def _threshold_rules(cfg: dict):
     rules = []
     for entry in raw:
         try:
-            column, op, value = entry["column"], entry["op"], float(entry["value"])
-        except (TypeError, KeyError, ValueError) as exc:
+            column, op, value = entry["column"], entry["op"], entry["value"]
+        except (TypeError, KeyError) as exc:
             raise UsageError(f"bad threshold rule {entry!r}") from exc
+        value = _finite(value, f"threshold value of {entry!r}")
         if not isinstance(column, str):
             raise UsageError(f"bad threshold rule {entry!r}")
         if not isinstance(op, str) or op not in ops:
@@ -370,7 +372,7 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
         out / "report.json",
         {"model": kind, "auc": curve.auc, **rep.to_json_dict(), **_stamp()},
     )
-    _write_csv(out / "roc.csv", ["fpr", "tpr"], [(fpr, tpr) for fpr, tpr in curve.points])
+    _write_csv(out / "roc.csv", ["fpr", "tpr"], curve.points)
 
     comparison[kind] = curve.auc
     _write_json(comparison_path, comparison)
@@ -383,9 +385,9 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 def cmd_score(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     _, _, matrix, _ = _load(cfg, base)
     _, pd_scores, labels = _predictions(model_path, matrix)
-    rows = [(i, float(p), int(label)) for i, (p, label) in enumerate(zip(pd_scores, labels))]
+    rows = zip(range(len(pd_scores)), pd_scores.tolist(), labels.tolist())
     _write_csv(out / "scores.csv", ["id", "pd", "label"], rows)
-    print(f"wrote {out / 'scores.csv'} ({len(rows)} rows)")
+    print(f"wrote {out / 'scores.csv'} ({len(pd_scores)} rows)")
     return 0
 
 
@@ -394,7 +396,7 @@ def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     _, pd_scores, _ = _predictions(model_path, matrix)
     cols = _exposure_columns(cfg)
     recovery = exposure.recovery_rates(table, cols)
-    risk_free = _config_float(cfg, "risk_free_rate", 0.0)
+    risk_free = _finite(cfg.get("risk_free_rate", 0.0), "config 'risk_free_rate'")
 
     loans = exposure.table_ead(table, cols)
     # Nothing outstanding: no contract to write on the loan, spread 0.

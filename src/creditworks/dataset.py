@@ -501,7 +501,7 @@ class DesignMatrix:
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.x, dtype=np.float64))
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if x.ndim != 2:
             raise DataError("design matrix must be 2-D")
         if x.shape[1] != len(self.columns):
@@ -510,8 +510,10 @@ class DesignMatrix:
             raise DataError("target length does not match row count")
         if not np.all(np.isfinite(x)):
             raise DataError("design matrix contains non-finite values")
-        if y.size and not np.isin(y, (0, 1)).all():
+        # Checked as values, before the cast, so that 0.5 is no 0.
+        if not np.isin(y, (0, 1)).all():
             raise DataError("target vector must be binary")
+        y = np.asarray(y, dtype=np.int64)
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)

@@ -59,7 +59,7 @@ def correlation_report(matrix, target=None) -> tuple[tuple[str, float, bool], ..
 
 @dataclass(frozen=True)
 class Scaler:
-    """Column-wise standardizer fitted on training data only.
+    """Column-wise standardizer, fitted by fit_scaler on training data only.
 
     Uses the population standard deviation. Constant columns keep scale 1
     so they pass through centered at zero instead of dividing by zero.
@@ -68,18 +68,6 @@ class Scaler:
     mean: np.ndarray
     scale: np.ndarray
     columns: tuple[str, ...]
-
-    @classmethod
-    def fit(cls, matrix) -> "Scaler":
-        x = np.asarray(matrix.x, dtype=np.float64)
-        if x.shape[0] == 0:
-            raise DataError("cannot fit a scaler on an empty matrix")
-        mean = x.mean(axis=0)
-        scale = x.std(axis=0)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        mean.setflags(write=False)
-        scale.setflags(write=False)
-        return cls(mean=mean, scale=scale, columns=tuple(matrix.columns))
 
     def transform(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -105,6 +93,8 @@ class Scaler:
         columns = tuple(payload["columns"])
         if mean.shape != scale.shape or mean.shape[0] != len(columns):
             raise DataError("scaler payload has inconsistent lengths")
+        if not (np.isfinite(mean).all() and ((scale > 0.0) & (scale < np.inf)).all()):
+            raise DataError("scaler means must be finite and its scales positive and finite")
         mean.setflags(write=False)
         scale.setflags(write=False)
         return cls(mean=mean, scale=scale, columns=columns)
@@ -112,7 +102,15 @@ class Scaler:
 
 def fit_scaler(matrix) -> Scaler:
     """Fit a standardizer to a design matrix (training half only)."""
-    return Scaler.fit(matrix)
+    x = np.asarray(matrix.x, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise DataError("cannot fit a scaler on an empty matrix")
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    mean.setflags(write=False)
+    scale.setflags(write=False)
+    return Scaler(mean=mean, scale=scale, columns=tuple(matrix.columns))
 
 
 def apply_scaler(scaler: Scaler, matrix) -> DesignMatrix:

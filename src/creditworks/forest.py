@@ -15,11 +15,11 @@ import math
 import os
 import signal
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, TrainingError, check_setting
+from .errors import DataError, TrainingError, check_setting, check_training_data
 
 CRITERIA = ("gini", "entropy")
 
@@ -117,7 +117,7 @@ def best_split(x, y, rows=None, features=None, criterion: str = "gini"):
     """
     if criterion not in CRITERIA:
         raise TrainingError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
-    x, y = _check_xy(x, y)
+    x, y = check_training_data(x, y)
     rows = _check_rows(rows, x.shape[0])
     feats = np.arange(x.shape[1]) if features is None else np.unique(np.asarray(features, dtype=np.intp))
     if feats.size and (feats[0] < 0 or feats[-1] >= x.shape[1]):
@@ -248,21 +248,6 @@ def _resolve_subsample(params: CartParams, n_cols: int) -> int:
     return min(n_cols, int(fs))
 
 
-def _check_xy(x, y):
-    """x as a 2-D float64 matrix and y as its int64 0/1 labels, one per row."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2:
-        raise DataError("training matrix must be 2-D")
-    if y.shape != (x.shape[0],):
-        raise DataError("target length does not match row count")
-    if x.shape[0] == 0:
-        raise TrainingError("cannot fit on an empty matrix")
-    if not np.isin(y, (0, 1)).all():
-        raise TrainingError("labels must be 0/1")
-    return x, y
-
-
 def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> CartTree:
     """Grow one tree by impurity-minimizing splits, depth first.
 
@@ -275,12 +260,16 @@ def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> Ca
     Each split node sorts only its drawn features, over its own rows (see
     _best_cut), and sends a row left when its value is <= the threshold.
     """
-    x, y = _check_xy(x, y)
+    x, y = check_training_data(x, y)
+    return _grow(x, y, params, rng, _check_rows(rows, x.shape[0]))
+
+
+def _grow(x, y, params: CartParams, rng, rows) -> CartTree:
+    """fit_cart on a checked x and y and an array of row indices."""
     n_cols = x.shape[1]
     k = _resolve_subsample(params, n_cols)
     if k < n_cols and rng is None:
         raise TrainingError("feature subsampling requires an rng")
-    rows = _check_rows(rows, x.shape[0])
     if rows.size == 0:
         raise TrainingError("cannot fit on an empty row subset")
     every_feature = np.arange(n_cols)
@@ -374,22 +363,22 @@ class Forest:
 
 # An extra worker holds its own per-tree working set: the bootstrap rows and,
 # at each node, the drawn features' gathered values, their sort order and
-# sorted copy, and counts and gains per candidate cut. Measured as the rise
-# in summed proportional set size over a serial fit, two runs each, with
-# "auto" subsampling: 0.5-1.1 times x.nbytes for a 100k-row book's train
-# matrix (67.6k x 55, mostly 0/1 dummies), 1.9-3.0 on a 100k x 14 matrix of
-# distinct values. 6 covers both. Searching every feature at each node
-# (feature_subsample None) costs 3.2-4.5 and 9.5-12.5, since the root then
-# holds float arrays over k * n candidate cuts; 6 does not cover the latter.
-_WORKER_BYTES_PER_X_BYTE = 6
+# sorted copy, and counts and gains per candidate cut. It scales with the
+# root's k drawn features over all n rows, k * n * 8 bytes. Measured as the
+# rise in summed proportional set size over a serial fit, in multiples
+# of those root bytes: 7.6 for a 100k-row book's train matrix (67.6k x 55,
+# mostly 0/1 dummies) and 10.5 on a 100k x 14 matrix of distinct values
+# with "auto" subsampling; 4.5 and 9.5-12.5 with feature_subsample None
+# (10.6-11.1 when re-measured on depth-8 trees). 13 covers all four.
+_WORKER_BYTES_PER_ROOT_BYTE = 13
 # The largest pool whose speed and memory have been measured, on a 2-CPU host.
 _MAX_WORKERS = 2
 
 
-def _workers(x) -> int:
-    """Processes to fit trees on x in: one per CPU this process may run on,
-    at most _MAX_WORKERS, and only as many extra ones as free memory holds
-    a working set of. One where os.fork or the free memory is unknown."""
+def _workers(x, params: CartParams) -> int:
+    """Processes to fit trees with params on x in: one per CPU this process
+    may run on, at most _MAX_WORKERS, and as many extra ones as free memory
+    holds a working set of. One where os.fork or the free memory is unknown."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -400,7 +389,8 @@ def _workers(x) -> int:
         free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError):
         free = 0
-    extra = free // max(1, _WORKER_BYTES_PER_X_BYTE * x.nbytes)
+    root_bytes = _resolve_subsample(params, x.shape[1]) * x.shape[0] * 8
+    extra = free // max(1, _WORKER_BYTES_PER_ROOT_BYTE * root_bytes)
     return max(1, min(cpus, _MAX_WORKERS, 1 + extra))
 
 
@@ -408,7 +398,7 @@ def _fit_tree(x, y, config: ForestConfig, t: int) -> CartTree:
     rng = np.random.default_rng((config.seed, t))
     n = x.shape[0]
     rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-    return fit_cart(x, y, config.params, rng, rows=rows)
+    return _grow(x, y, config.params, rng, rows)
 
 
 def _grow_in_child(
@@ -453,15 +443,15 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     feature subsets) comes from a generator seeded with (seed, t), so the
     forest is identical no matter how the tree loop is scheduled.
 
-    With W = min(n_trees, _workers(x)) workers, worker w fits the trees
-    t = w (mod W): worker 0 is this process and the others are forked
+    With W = min(n_trees, _workers(x, params)) workers, worker w fits the
+    trees t = w (mod W): worker 0 is this process and the others are forked
     children, which send their trees' arrays back through a pipe each. The
-    inputs are checked here, before any fork, and every received tree is
-    checked again by CartTree. A child that fails raises TrainingError
+    inputs are checked once, here, before any fork, and every received tree
+    is checked again by CartTree. A child that fails raises TrainingError
     naming its exit status; on any error the children are killed and reaped.
     """
-    x, y = _check_xy(x, y)
-    workers = min(config.n_trees, _workers(x))
+    x, y = check_training_data(x, y)
+    workers = min(config.n_trees, _workers(x, config.params))
     parent = os.getpid()
     trees = [None] * config.n_trees
     children = {}  # worker -> pid, until reaped
@@ -525,12 +515,7 @@ def forest_to_json_dict(forest: Forest) -> dict:
         "bootstrap": forest.bootstrap,
         "n_trees": forest.n_trees,
         "n_features": forest.n_features,
-        "params": {
-            "criterion": params.criterion,
-            "max_depth": params.max_depth,
-            "min_samples_split": params.min_samples_split,
-            "feature_subsample": params.feature_subsample,
-        },
+        "params": asdict(params),
         "trees": [
             {name: getattr(tree, name).tolist() for name in TREE_ARRAYS}
             for tree in forest.trees

@@ -3,11 +3,11 @@ full-batch gradient descent."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, TrainingError, check_setting
+from .errors import DataError, TrainingError, check_setting, check_training_data
 
 # Probabilities are clipped away from {0, 1} before the log so a saturated
 # sigmoid cannot produce an infinite loss.
@@ -157,14 +157,8 @@ class LogregModel:
             "bias": float(self.bias),
             "threshold": float(self.config.threshold),
             "columns": list(self.columns),
-            "config": {
-                "learning_rate": self.config.learning_rate,
-                "max_iters": self.config.max_iters,
-                "tol": self.config.tol,
-                "l2": self.config.l2,
-                "threshold": self.config.threshold,
-                "seed": self.config.seed,
-            },
+            # Every setting but newton, which model files do not record.
+            "config": {k: v for k, v in asdict(self.config).items() if k != "newton"},
             "history": [[int(i), float(v)] for i, v in self.history],
         }
 
@@ -174,9 +168,13 @@ class LogregModel:
             raise DataError(f"payload kind {payload.get('kind')!r} is not a logistic model")
         cfg = LogregConfig(**payload["config"])
         history = tuple((int(i), float(v)) for i, v in payload["history"])
+        weights = np.asarray(payload["weights"], dtype=np.float64)
+        bias = float(payload["bias"])
+        if not (np.isfinite(weights).all() and np.isfinite(bias)):
+            raise DataError("model weights and bias must be finite numbers")
         return cls(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
+            weights=weights,
+            bias=bias,
             config=cfg,
             history=history,
             columns=tuple(payload.get("columns", ())),
@@ -192,24 +190,12 @@ def fit_logreg(x, y, config: LogregConfig = LogregConfig(), columns=()) -> Logre
     loss moves by no more than tol between consecutive iterations, so
     tol = 0 still stops once the loss stops changing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y_arr = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError("training matrix must be 2-D")
-    if y_arr.shape != (x.shape[0],):
-        raise DataError("target length does not match row count")
-    if x.shape[0] == 0:
-        raise TrainingError("cannot fit on an empty matrix")
-    uniq = np.unique(y_arr)
-    if not np.isin(uniq, (0.0, 1.0)).all():
-        raise TrainingError("labels must be 0/1")
-    if uniq.size < 2:
+    x, y = check_training_data(x, y)
+    if y.min() == y.max():
         raise TrainingError("training data contains a single class")
-    if not np.all(np.isfinite(x)):
-        raise TrainingError("training matrix contains non-finite values")
 
     fit = _fit_newton if config.newton else _fit_gd
-    w, b, history = fit(x, y_arr, config)
+    w, b, history = fit(x, y.astype(np.float64), config)
     return LogregModel(
         weights=w, bias=b, config=config, history=tuple(history), columns=tuple(columns)
     )

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -448,6 +449,10 @@ def test_boolean_seed_is_usage_error(tmp_path):
         ("train", {"test_fraction": "abc"}, "test_fraction"),
         ("price", {"risk_free_rate": "x"}, "risk_free_rate"),
         ("explore", {"thresholds": [{"column": "dti", "op": ">", "value": "abc"}]}, "threshold"),
+        # A threshold value is read as test_fraction and risk_free_rate are.
+        ("explore", {"thresholds": [{"column": "dti", "op": ">", "value": math.nan}]}, "threshold"),
+        ("explore", {"thresholds": [{"column": "dti", "op": ">", "value": math.inf}]}, "threshold"),
+        ("explore", {"thresholds": [{"column": "dti", "op": ">", "value": True}]}, "threshold"),
     ],
 )
 def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overrides, key):
@@ -482,6 +487,9 @@ def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overr
                      id="exposure-columns-empty-list"),
         pytest.param("train", {"status_map": {}}, "'status_map'", id="status-map-empty"),
         pytest.param("train", {"rate_scale": "basis points"}, "rate_scale", id="rate-scale-unknown"),
+        # rate_scale is a top-level key only.
+        pytest.param("train", {"rate_scale": "percent", "exposure_columns": {"rate_scale": "fraction"}},
+                     "'rate_scale' is a top-level key", id="rate-scale-in-exposure-columns"),
         pytest.param("train", {"column_spec": 5}, "'column_spec'", id="column-spec-number"),
         pytest.param("train", {"input": 5}, "'input'", id="input-number"),
         pytest.param("train", {"out_dir": 5}, "'out_dir'", id="out-dir-number"),
@@ -714,6 +722,17 @@ def test_logreg_model_with_fractional_iteration_count_is_data_error(workdir, cap
         pytest.param(lambda model: model.pop("scaler"), "lacks the field 'scaler'", id="no-scaler"),
         pytest.param(lambda model: model["scaler"]["columns"].reverse(), "other columns than the model",
                      id="scaler-columns-differ"),
+        # Scored, these would give NaN PDs or every PD 0.0.
+        pytest.param(lambda model: model["weights"].__setitem__(0, math.nan), "weights and bias must be finite",
+                     id="nan-weight"),
+        pytest.param(lambda model: model.__setitem__("bias", math.inf), "weights and bias must be finite",
+                     id="infinite-bias"),
+        pytest.param(lambda model: model["scaler"]["mean"].__setitem__(0, math.inf), "means must be finite",
+                     id="infinite-mean"),
+        pytest.param(lambda model: model["scaler"]["scale"].__setitem__(0, 0.0), "scales positive",
+                     id="zero-scale"),
+        pytest.param(lambda model: model["scaler"]["scale"].__setitem__(0, math.nan), "scales positive",
+                     id="nan-scale"),
     ],
 )
 def test_logreg_model_needs_a_scaler_on_its_columns(workdir, capsys, edit, fragment):
@@ -795,7 +814,7 @@ def test_forest_train_in_a_subprocess_prints_each_line_once(tmp_path):
     # Three workers, whatever this machine's CPU count: two forked children.
     script = (
         "import sys; from creditworks import cli, forest; "
-        "forest._workers = lambda x: 3; "
+        "forest._workers = lambda x, params: 3; "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     src = Path(forest.__file__).resolve().parents[1]
@@ -813,15 +832,15 @@ def test_forest_train_in_a_subprocess_prints_each_line_once(tmp_path):
 def test_failed_forest_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     write_loans_csv(tmp_path / "loans.csv")
     write_config(tmp_path / "config.json", model={"kind": "forest", "n_trees": 4, "max_depth": 3})
-    parent, real_fit_cart = os.getpid(), forest.fit_cart
+    parent, real_grow = os.getpid(), forest._grow
 
-    def fit_cart_failing_in_children(*args, **kwargs):
+    def grow_failing_in_children(*args, **kwargs):
         if os.getpid() != parent:
             raise MemoryError
-        return real_fit_cart(*args, **kwargs)
+        return real_grow(*args, **kwargs)
 
-    monkeypatch.setattr(forest, "_workers", lambda x: 2)
-    monkeypatch.setattr(forest, "fit_cart", fit_cart_failing_in_children)
+    monkeypatch.setattr(forest, "_workers", lambda x, params: 2)
+    monkeypatch.setattr(forest, "_grow", grow_failing_in_children)
     assert run(tmp_path, "train") == 3
     err = capsys.readouterr().err
     assert err == "creditworks: forest worker 1 failed with exit status 1\n", err

@@ -429,6 +429,13 @@ def test_split_seeds_differ():
     assert set(_rows(a.test)) != set(_rows(b.test))
 
 
+@pytest.mark.parametrize("y", [[0.5, 1.0], [0, 2]])
+def test_design_matrix_checks_label_values_before_the_cast(y):
+    # Cast first, 0.5 would pass as the label 0.
+    with pytest.raises(DataError, match="binary"):
+        DesignMatrix(columns=("a",), x=np.zeros((2, 1)), y=np.array(y))
+
+
 def test_split_validates_inputs():
     with pytest.raises(DataError):
         split(_matrix(10), 0.0, seed=1)

@@ -21,6 +21,7 @@ from creditworks import (
     entropy,
     fit_cart,
     fit_forest,
+    fit_logreg,
     forest_from_json_dict,
     forest_to_json_dict,
     gini,
@@ -505,12 +506,18 @@ def test_forest_config_validation():
         pytest.param(np.zeros((4, 2)), [0, 1, 0], DataError, "target length", id="short-y"),
         pytest.param(np.zeros((0, 2)), [], TrainingError, "empty matrix", id="empty"),
         pytest.param(np.zeros((4, 2)), [0, 1, 2, 1], TrainingError, "0/1", id="label-2"),
+        # Checked as values: a cast to int first would train these as [0, 1, 0, 1].
+        pytest.param(np.zeros((4, 2)), [0.5, 1.7, 0.2, 1.0], TrainingError, "0/1", id="label-fraction"),
+        pytest.param(np.array([[0.0], [np.nan], [1.0], [2.0]]), [0, 1, 0, 1], TrainingError, "non-finite",
+                     id="nan-feature"),
     ],
 )
 def test_bad_training_input_raises_before_any_fork(monkeypatch, x, y, error, fragment):
-    with pytest.raises(error, match=fragment):
-        fit_cart(x, y)
-    monkeypatch.setattr(forest, "_workers", lambda x: 2)
+    # Both model fits and best_split share one check.
+    for fit in (fit_cart, best_split, fit_logreg):
+        with pytest.raises(error, match=fragment):
+            fit(x, y)
+    monkeypatch.setattr(forest, "_workers", lambda x, params: 2)
     monkeypatch.setattr(forest.os, "fork", lambda: pytest.fail("forked on bad input"))
     with pytest.raises(error, match=fragment):
         fit_forest(x, y, ForestConfig(n_trees=3))
@@ -519,7 +526,7 @@ def test_bad_training_input_raises_before_any_fork(monkeypatch, x, y, error, fra
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("bootstrap", [True, False])
 def test_fit_forest_equals_serial_loop_for_any_worker_count(monkeypatch, workers, bootstrap):
-    monkeypatch.setattr(forest, "_workers", lambda x: workers)
+    monkeypatch.setattr(forest, "_workers", lambda x, params: workers)
     x, y = _tie_heavy_data(5, n=120)
     params = CartParams(feature_subsample="auto", max_depth=6)
     for n_trees in (1, 2, 5, 7):
@@ -547,40 +554,48 @@ def test_failed_worker_raises_and_leaves_no_child(monkeypatch, bad_tree, error, 
     x, y = _tie_heavy_data(6, n=120)
     config = ForestConfig(n_trees=6, seed=8)
     bad_rows = np.random.default_rng((config.seed, bad_tree)).integers(0, len(y), size=len(y))
-    real_fit_cart = forest.fit_cart
+    real_grow = forest._grow
 
-    def failing_fit_cart(x, y, params, rng, rows):
+    def failing_grow(x, y, params, rng, rows):
         if np.array_equal(rows, bad_rows):
             raise MemoryError(f"tree {bad_tree}")
-        return real_fit_cart(x, y, params, rng, rows=rows)
+        return real_grow(x, y, params, rng, rows)
 
-    monkeypatch.setattr(forest, "_workers", lambda x: 3)
-    monkeypatch.setattr(forest, "fit_cart", failing_fit_cart)
+    monkeypatch.setattr(forest, "_workers", lambda x, params: 3)
+    monkeypatch.setattr(forest, "_grow", failing_grow)
     with pytest.raises(error, match=fragment):
         fit_forest(x, y, config)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+AUTO = CartParams(feature_subsample="auto")
+
+
 @pytest.mark.parametrize(
-    "cpus, free_pages, want",
+    "cpus, free_pages, params, want",
     [
-        pytest.param(1, 10**9, 1, id="one-cpu"),
-        pytest.param(8, 10**9, 2, id="capped-at-measured"),
-        pytest.param(8, 1, 1, id="no-memory-for-a-second-working-set"),
+        pytest.param(1, 10**9, AUTO, 1, id="one-cpu"),
+        pytest.param(8, 10**9, AUTO, 2, id="capped-at-measured"),
+        pytest.param(8, 1, AUTO, 1, id="no-memory-for-a-second-working-set"),
+        # The budget is 13 bytes per byte of the root's drawn features, 4 or
+        # all 14 of x's columns over its 1000 rows: 416,000 or 1,456,000
+        # bytes. 6 times x.nbytes (672,000) fitted neither.
+        pytest.param(8, 128, AUTO, 2, id="memory-for-a-subsampled-search"),
+        pytest.param(8, 256, CartParams(), 1, id="no-memory-for-a-full-search"),
     ],
 )
-def test_worker_count_is_bounded_by_cpus_cap_and_free_memory(monkeypatch, cpus, free_pages, want):
+def test_worker_count_is_bounded_by_cpus_cap_and_free_memory(monkeypatch, cpus, free_pages, params, want):
     x = np.zeros((1000, 14))
     pages = {"SC_AVPHYS_PAGES": free_pages, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    assert forest._workers(x) == want
+    assert forest._workers(x, params) == want
 
 
 def test_worker_count_is_one_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
-    assert forest._workers(np.zeros((10, 2))) == 1
+    assert forest._workers(np.zeros((10, 2)), AUTO) == 1
 
 
 def test_fork_warning_of_a_threaded_process_neither_fails_nor_loses_a_child(monkeypatch):
@@ -596,7 +611,7 @@ def test_fork_warning_of_a_threaded_process_neither_fails_nor_loses_a_child(monk
             warnings.warn(message, DeprecationWarning, stacklevel=2)
         return pid
 
-    monkeypatch.setattr(forest, "_workers", lambda x: 2)
+    monkeypatch.setattr(forest, "_workers", lambda x, params: 2)
     monkeypatch.setattr(os, "fork", warning_fork)
     x, y = _tie_heavy_data(9, n=80)
     assert fit_forest(x, y, ForestConfig(n_trees=2, seed=1)).n_trees == 2
@@ -640,7 +655,7 @@ def slow_fit_tree(x, y, config, t):
     return real_fit_tree(x, y, config, t)
 
 forest._fit_tree = slow_fit_tree
-forest._workers = lambda x: {workers}
+forest._workers = lambda x, params: {workers}
 rng = np.random.default_rng(0)
 x, y = rng.random((8000, 5)), rng.integers(0, 2, 8000)
 forest.fit_forest(x, y, forest.ForestConfig(n_trees={workers * trees_per_worker}))

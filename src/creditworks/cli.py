@@ -36,6 +36,9 @@ from .errors import (
 
 DEFAULT_MODEL_FILE = "model.json"
 
+# Rows per prediction block: bounds the scaled copy a logistic model needs.
+PREDICT_ROWS = 4096
+
 
 def _stamp() -> dict:
     if os.environ.get("CREDITWORKS_CANONICAL") == "1":
@@ -44,7 +47,10 @@ def _stamp() -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # Streamed: a forest's model text is never held whole.
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _read_config(path: str) -> tuple[dict, Path]:
@@ -140,9 +146,11 @@ def _check_config(cfg: dict) -> None:
     _model_config(cfg, seed)
 
 
-def _load(cfg: dict, base: Path):
+def _load(cfg: dict, base: Path, half: str | None = None):
     """Parse, terminal filter, drop, fill and encode the input CSV of a
-    checked config. Returns (terminal table, cleaned table, matrix, encode report)."""
+    checked config: every row, or with half "train" or "test" only that half
+    of the config's split. Returns (terminal table, cleaned table, matrix,
+    encode report)."""
     if cfg.get("column_spec") is not None:
         specs = dataset.load_column_specs(_resolve(base, cfg["column_spec"]))
     else:
@@ -158,13 +166,16 @@ def _load(cfg: dict, base: Path):
         dataset.drop_columns(terminal),
         cfg.get("missing_policy", "fill_median_or_mode"),
     )
-    matrix, encode_report = dataset.encode(cleaned)
+    rows = None if half is None else _split_rows(cfg, cleaned.row_count)[half]
+    matrix, encode_report = dataset.encode(cleaned, rows)
     return terminal, cleaned, matrix, encode_report
 
 
-def _split(cfg: dict, matrix: dataset.DesignMatrix) -> dataset.SplitPair:
+def _split_rows(cfg: dict, n_rows: int) -> dict:
+    """{"train": rows, "test": rows} of the config's split of n_rows rows."""
     fraction = _finite(cfg.get("test_fraction", 0.2), "config 'test_fraction'")
-    return dataset.split(matrix, fraction, cfg["seed"])
+    train, test = dataset.split_rows(n_rows, fraction, cfg["seed"])
+    return {"train": train, "test": test}
 
 
 def _model_config(cfg: dict, seed: int):
@@ -242,7 +253,13 @@ def _predictions(model_path: Path, matrix: dataset.DesignMatrix):
     """(kind, pd, labels) of the model file's predictions on the matrix's rows."""
     kind, model, scaler = _load_model(model_path)
     _check_columns(model.columns, matrix, model_path)
-    pd_scores = model.predict_proba(matrix.x if scaler is None else scaler.transform(matrix.x))
+    # Block by block, so a logistic model scales a block's copy, not the matrix's.
+    pd_scores = np.empty(matrix.n_rows)
+    for start in range(0, matrix.n_rows, PREDICT_ROWS):
+        block = matrix.x[start : start + PREDICT_ROWS]
+        if scaler is not None:
+            block = scaler.transform(block)
+        pd_scores[start : start + PREDICT_ROWS] = model.predict_proba(block)
     threshold = model.config.threshold if kind == "logreg" else 0.5
     return kind, pd_scores, (pd_scores >= threshold).astype(np.int64)
 
@@ -299,26 +316,30 @@ def cmd_explore(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 
 def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
-    _, _, matrix, encode_report = _load(cfg, base)
-    pair = _split(cfg, matrix)
+    matrix, encode_report = _load(cfg, base)[2:]
+    halves = _split_rows(cfg, matrix.n_rows)
     prep = out / "prepared"
     prep.mkdir(parents=True, exist_ok=True)
-    np.save(prep / "x_train.npy", pair.train.x)
-    np.save(prep / "y_train.npy", pair.train.y)
-    np.save(prep / "x_test.npy", pair.test.x)
-    np.save(prep / "y_test.npy", pair.test.y)
+    # One half at a time is copied out of the matrix, freed before the scaler's fit.
+    np.save(prep / "x_test.npy", matrix.x[halves["test"]])
+    np.save(prep / "y_test.npy", matrix.y[halves["test"]])
+    rows = halves["train"]
+    train = dataset.DesignMatrix(matrix.columns, matrix.x[rows], matrix.y[rows])
+    del matrix
+    np.save(prep / "x_train.npy", train.x)
+    np.save(prep / "y_train.npy", train.y)
     _write_json(
         prep / "columns.json",
         {
-            "columns": list(matrix.columns),
+            "columns": list(train.columns),
             "seed": cfg["seed"],
-            "test_fraction": pair.test_fraction,
-            "train_rows": pair.train.n_rows,
-            "test_rows": pair.test.n_rows,
+            "test_fraction": _finite(cfg.get("test_fraction", 0.2), "config 'test_fraction'"),
+            "train_rows": train.n_rows,
+            "test_rows": halves["test"].size,
         },
     )
     _write_json(prep / "encode_report.json", encode_report.to_json_dict())
-    _write_json(prep / "scaler.json", features.fit_scaler(pair.train).to_json_dict())
+    _write_json(prep / "scaler.json", features.fit_scaler(train).to_json_dict())
     print(f"wrote {prep}/x_train.npy y_train.npy x_test.npy y_test.npy")
     print(f"wrote {prep / 'columns.json'} encode_report.json scaler.json")
     return 0
@@ -326,13 +347,15 @@ def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     kind, model_cfg = _model_config(cfg, cfg["seed"])
-    # Only the training split is kept: the whole matrix is freed before the fit.
-    train = _split(cfg, _load(cfg, base)[2]).train
+    # Only the training rows are encoded; the tables are freed before the fit.
+    train = _load(cfg, base, "train")[2]
 
     if kind == "logreg":
         scaler = features.fit_scaler(train)
-        scaled = features.apply_scaler(scaler, train)
-        model = logreg.fit_logreg(scaled.x, scaled.y, model_cfg, columns=scaled.columns)
+        # The matrix is this command's own: it is scaled in place, not copied.
+        train.x.setflags(write=True)
+        x = scaler.transform_in_place(train.x)
+        model = logreg.fit_logreg(x, train.y, model_cfg, columns=train.columns)
         payload = model.to_json_dict()
         payload["scaler"] = scaler.to_json_dict()
         history = [[i, v] for i, v in model.history]
@@ -350,8 +373,7 @@ def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 
 def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
-    _, _, matrix, _ = _load(cfg, base)
-    test = _split(cfg, matrix).test
+    test = _load(cfg, base, "test")[2]
     kind, pd_scores, y_pred = _predictions(model_path, test)
     rep = metrics.report(test.y, y_pred)
     curve = metrics.roc(test.y, pd_scores)

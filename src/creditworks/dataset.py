@@ -528,13 +528,15 @@ class DesignMatrix:
         return self.x.shape[1]
 
 
-def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
-    """Turn a clean table into a numeric matrix.
+def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
+    """Turn a clean table into a numeric matrix of its rows, or of the given
+    rows only (an index array), filled into one preallocated array.
 
     Numeric features pass through. Each discrete feature with k distinct
     values becomes k-1 indicator columns named "<col>=<value>"; the
     lexicographically first value is the dropped baseline. Single-valued
-    columns are dropped and recorded in the report.
+    columns are dropped and recorded in the report. The levels are the whole
+    table's, so a row subset encodes to the same columns as the table.
     """
     y = table.labels()
     if (y < 0).any():
@@ -545,7 +547,7 @@ def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
             f"row {i} has non-terminal status {status!r}; filter_terminal must run first"
         )
 
-    blocks: list[np.ndarray] = []
+    kept: list = []
     col_names: list[str] = []
     dropped: list[str] = []
     dummies: dict = {}
@@ -557,7 +559,7 @@ def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
         if _missing(column).any():
             raise DataError(f"column {spec.name!r} still has missing cells; clean before encoding")
         if not isinstance(column, Categorical):
-            blocks.append(column[:, None])
+            kept.append(column)
             col_names.append(spec.name)
             numeric.append(spec.name)
             continue
@@ -568,14 +570,20 @@ def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
         baseline, rest = column.levels[0], column.levels[1:]
         names = [f"{spec.name}={v}" for v in rest]
         dummies[spec.name] = {"baseline": baseline, "columns": tuple(names)}
-        blocks.append(column.codes[:, None] == np.arange(1, k))
+        kept.append(column)
         col_names.extend(names)
 
-    x = (
-        np.hstack(blocks, dtype=np.float64)
-        if blocks
-        else np.zeros((table.row_count, 0), dtype=np.float64)
-    )
+    rows = slice(None) if rows is None else rows
+    y = y[rows]
+    x = np.empty((y.size, len(col_names)), dtype=np.float64)
+    j = 0
+    for column in kept:
+        if isinstance(column, Categorical):
+            block = column.codes[rows, None] == np.arange(1, len(column.levels))
+        else:
+            block = column[rows, None]
+        x[:, j : j + block.shape[1]] = block
+        j += block.shape[1]
     matrix = DesignMatrix(columns=tuple(col_names), x=x, y=y)
     report = EncodeReport(
         dropped_constant=tuple(dropped), dummies=dummies, numeric=tuple(numeric)
@@ -590,22 +598,26 @@ class SplitPair:
     test_fraction: float
 
 
-def split(matrix: DesignMatrix, test_fraction: float, seed: int) -> SplitPair:
-    """Seeded shuffle split. The permutation comes from numpy's PCG64 stream,
-    so a given (seed, n_rows) pair always produces the same membership."""
+def split_rows(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train rows, test rows) of a seeded shuffle split of n_rows rows. The
+    permutation comes from numpy's PCG64 stream, so a given (seed, n_rows)
+    pair always produces the same membership."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n = matrix.n_rows
-    if n < 2:
+    if n_rows < 2:
         raise DataError("need at least 2 rows to split")
-    n_test = int(round(test_fraction * n))
-    n_test = min(max(n_test, 1), n - 1)
-    perm = np.random.default_rng(seed).permutation(n)
-    test_idx = perm[:n_test]
-    train_idx = perm[n_test:]
+    n_test = int(round(test_fraction * n_rows))
+    n_test = min(max(n_test, 1), n_rows - 1)
+    perm = np.random.default_rng(seed).permutation(n_rows)
+    return perm[n_test:], perm[:n_test]
+
+
+def split(matrix: DesignMatrix, test_fraction: float, seed: int) -> SplitPair:
+    """split_rows of a matrix, with each half copied out of it."""
+    train, test = split_rows(matrix.n_rows, test_fraction, seed)
     return SplitPair(
-        train=DesignMatrix(matrix.columns, matrix.x[train_idx], matrix.y[train_idx]),
-        test=DesignMatrix(matrix.columns, matrix.x[test_idx], matrix.y[test_idx]),
+        train=DesignMatrix(matrix.columns, matrix.x[train], matrix.y[train]),
+        test=DesignMatrix(matrix.columns, matrix.x[test], matrix.y[test]),
         test_fraction=test_fraction,
     )
 

@@ -70,14 +70,19 @@ class Scaler:
     columns: tuple[str, ...]
 
     def transform(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        """The standardized copy of x, a row or a 2-D array."""
+        return self.transform_in_place(np.array(x, dtype=np.float64, ndmin=2))
+
+    def transform_in_place(self, x: np.ndarray) -> np.ndarray:
+        """Standardize a writable 2-D float64 array in its own memory and
+        return it; the same bits as transform, without a second array."""
         if x.shape[1] != self.mean.shape[0]:
             raise DataError(
                 f"scaler fitted on {self.mean.shape[0]} columns, got {x.shape[1]}"
             )
-        return (x - self.mean) / self.scale
+        x -= self.mean
+        x /= self.scale
+        return x
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import LOAN_HEADER, make_loan_rows, write_config, write_loans_csv
-from creditworks import cli, dataset, features, forest
+from creditworks import cli, dataset, features, forest, logreg
 from creditworks.cli import COMMANDS, main
 from creditworks.errors import ModelDataMismatchError
 
@@ -785,7 +785,7 @@ def test_out_of_range_config_value_is_usage_error(workdir, capsys, command, over
 
 def _forbid(monkeypatch, *names):
     """Make the named stages fail the test if a command calls them."""
-    modules = {"split": dataset, "fit_scaler": features}
+    modules = {"split": dataset, "split_rows": dataset, "fit_scaler": features}
     for name in names:
         monkeypatch.setattr(modules[name], name, lambda *args, name=name: pytest.fail(f"{name} called"))
 
@@ -793,8 +793,49 @@ def _forbid(monkeypatch, *names):
 @pytest.mark.parametrize("command", ["explore", "score", "price"])
 def test_commands_on_the_whole_book_neither_split_nor_scale(workdir, monkeypatch, command):
     assert run(workdir, "train") == 0
-    _forbid(monkeypatch, "split", "fit_scaler")
+    _forbid(monkeypatch, "split", "split_rows", "fit_scaler")
     assert run(workdir, command) == 0
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "evaluate"])
+def test_split_commands_encode_rows_without_copying_both_halves(workdir, monkeypatch, command):
+    assert run(workdir, "train") == 0
+    _forbid(monkeypatch, "split")
+    assert run(workdir, command) == 0
+
+
+def _block_model(tmp_path, kind):
+    """A model file of the given kind fitted on random data, and its columns."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(400, 4)) * [1.0, 50.0, 1e4, 0.1] + [0.0, 10.0, 5e4, 3.0]
+    y = (x[:, 0] + rng.normal(size=400) > 0).astype(np.int64)
+    columns = ("a", "b", "c", "d")
+    if kind == "logreg":
+        scaler = features.fit_scaler(dataset.DesignMatrix(columns, x, y))
+        model = logreg.fit_logreg(scaler.transform(x), y, logreg.LogregConfig(newton=True), columns=columns)
+        payload = {**model.to_json_dict(), "scaler": scaler.to_json_dict()}
+    else:
+        config = forest.ForestConfig(n_trees=4, seed=2, params=forest.CartParams(max_depth=6))
+        payload = forest.forest_to_json_dict(forest.fit_forest(x, y, config, columns=columns))
+    cli._write_json(tmp_path / "model.json", payload)
+    return tmp_path / "model.json", columns
+
+
+@pytest.mark.parametrize("kind", ["logreg", "forest"])
+def test_block_predictions_equal_one_shot_predictions(tmp_path, kind):
+    # Three whole blocks and a remainder, so that blocks and their edges both count.
+    path, columns = _block_model(tmp_path, kind)
+    n = 3 * cli.PREDICT_ROWS + 123
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(n, 4)) * [1.5, 60.0, 2e4, 0.2] + [0.0, 10.0, 5e4, 3.0]
+    matrix = dataset.DesignMatrix(columns, x, np.zeros(n, dtype=np.int64))
+    _, model, scaler = cli._load_model(path)
+    want = model.predict_proba(matrix.x if scaler is None else scaler.transform(matrix.x))
+    got_kind, pd_scores, labels = cli._predictions(path, matrix)
+    assert got_kind == kind
+    assert pd_scores.tobytes() == want.tobytes()
+    threshold = model.config.threshold if kind == "logreg" else 0.5
+    assert labels.tobytes() == (want >= threshold).astype(np.int64).tobytes()
 
 
 @pytest.mark.parametrize("model", [None, {"kind": "forest", "n_trees": 3, "max_depth": 3}])

@@ -429,6 +429,60 @@ def test_split_seeds_differ():
     assert set(_rows(a.test)) != set(_rows(b.test))
 
 
+@pytest.mark.parametrize("n, fraction, seed", [(2, 0.5, 0), (10, 0.2, 7), (57, 0.3, 13), (1000, 0.25, 11)])
+def test_split_rows_gives_the_membership_of_split(n, fraction, seed):
+    train, test = dataset.split_rows(n, fraction, seed)
+    pair = split(_matrix(n), fraction, seed)
+    assert train.tolist() == _rows(pair.train)
+    assert test.tolist() == _rows(pair.test)
+
+
+def _assert_rows_encode(table, rows):
+    """encode of the rows alone is the whole table's encoding at those rows."""
+    whole, whole_report = encode(table)
+    part, report = encode(table, rows)
+    assert part.columns == whole.columns and report == whole_report
+    assert part.x.shape == (len(rows), whole.n_cols)
+    assert part.x.tobytes() == whole.x[rows].tobytes()
+    assert part.y.tobytes() == whole.y[rows].tobytes()
+    return part
+
+
+def test_encode_of_rows_equals_the_rows_of_encode():
+    rng = random.Random(4)
+    levels = ["car", "house", "boat", "medical", "wedding"]
+    rows = [
+        (rng.uniform(0, 1e5), rng.choice(levels), rng.choice("ABC"), rng.choice(["Fully Paid", "Charged Off"]))
+        for _ in range(300)
+    ]
+    table = _encodable(rows, extra_cols=[("grade", "categorical", "feature")])
+    train, test = dataset.split_rows(table.row_count, 0.25, 3)
+    for subset in (train, test, np.arange(table.row_count)[::-1], np.array([7])):
+        _assert_rows_encode(table, subset)
+
+
+def test_encode_of_rows_that_lack_a_level_keeps_its_column():
+    table = _encodable([
+        (1.0, "car", "Fully Paid"),
+        (2.0, "house", "Charged Off"),
+        (3.0, "boat", "Fully Paid"),
+        (4.0, "car", "Charged Off"),
+    ])
+    part = _assert_rows_encode(table, np.array([3, 2]))
+    assert part.columns == ("amt", "purpose=car", "purpose=house")
+    assert part.x[:, 2].tolist() == [0.0, 0.0]  # no house among the rows
+
+
+@pytest.mark.parametrize("features", [[], [("grade", "categorical", "feature")]])
+def test_encode_of_rows_without_feature_columns(features):
+    # No feature columns at all, or only a constant one that encode drops.
+    cols = features + [("loan_status", "text", "target")]
+    cells = [("A",) * bool(features) + (s,) for s in ["Fully Paid", "Charged Off", "Fully Paid"]]
+    table = build_table(cols, cells)
+    part = _assert_rows_encode(table, np.array([2, 0]))
+    assert part.x.shape == (2, 0) and part.y.tolist() == [0, 0]
+
+
 @pytest.mark.parametrize("y", [[0.5, 1.0], [0, 2]])
 def test_design_matrix_checks_label_values_before_the_cast(y):
     # Cast first, 0.5 would pass as the label 0.

@@ -293,6 +293,15 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_numbers(path: Path, header: list, line: str, rows) -> None:
+    """A CSV of rows of Python numbers, each formatted by line, such as
+    "%d,%r\n". A float's %r is its repr, which is what csv.writer writes, and
+    no number needs quoting, so the bytes are _write_csv's, written faster."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line.__mod__, rows))
+
+
 def cmd_explore(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     terminal, _, matrix, _ = _load(cfg, base)
     counts = features.threshold_counts(terminal, _threshold_rules(cfg))
@@ -394,7 +403,7 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
         out / "report.json",
         {"model": kind, "auc": curve.auc, **rep.to_json_dict(), **_stamp()},
     )
-    _write_csv(out / "roc.csv", ["fpr", "tpr"], curve.points)
+    _write_numbers(out / "roc.csv", ["fpr", "tpr"], "%r,%r\n", curve.points)
 
     comparison[kind] = curve.auc
     _write_json(comparison_path, comparison)
@@ -408,7 +417,7 @@ def cmd_score(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     _, _, matrix, _ = _load(cfg, base)
     _, pd_scores, labels = _predictions(model_path, matrix)
     rows = zip(range(len(pd_scores)), pd_scores.tolist(), labels.tolist())
-    _write_csv(out / "scores.csv", ["id", "pd", "label"], rows)
+    _write_numbers(out / "scores.csv", ["id", "pd", "label"], "%d,%r,%d\n", rows)
     print(f"wrote {out / 'scores.csv'} ({len(pd_scores)} rows)")
     return 0
 
@@ -438,9 +447,10 @@ def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     ).spread_bps
 
     columns = (pd_scores, loans.amount, rate, loss, el, spread_bps)
-    _write_csv(
+    _write_numbers(
         out / "pricing.csv",
         ["id", "pd", "ead", "recovery_rate", "lgd", "el", "spread_bps"],
+        "%d" + ",%r" * len(columns) + "\n",
         zip(range(len(pd_scores)), *(c.tolist() for c in columns)),
     )
     _write_json(out / "recovery.json", recovery.to_json_dict())

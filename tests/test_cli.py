@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import LOAN_HEADER, make_loan_rows, write_config, write_loans_csv
 from creditworks import cli, dataset, features, forest, logreg
@@ -886,3 +888,22 @@ def test_failed_forest_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err == "creditworks: forest worker 1 failed with exit status 1\n", err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 10**7),
+            st.floats(width=64),
+            st.floats(allow_nan=False, min_value=-1e-300, max_value=1e-300),
+            st.integers(0, 1),
+        ),
+        max_size=30,
+    )
+)
+def test_number_writer_writes_the_bytes_of_csv_writer(tmp_path, rows):
+    header = ["id", "pd", "tiny", "label"]
+    cli._write_csv(tmp_path / "want.csv", header, rows)
+    cli._write_numbers(tmp_path / "got.csv", header, "%d,%r,%r,%d\n", rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -1,11 +1,17 @@
 import csv
 import io
+import os
 import random
 import statistics
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_table
 from creditworks import (
@@ -790,3 +796,33 @@ def test_columnar_header_only_gives_empty_columns():
     assert purposes.levels == () and len(purposes) == 0 and len(statuses) == 0
     with pytest.raises(EmptyDatasetError):
         filter_terminal(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        # A few values drawn over and over (ties), or any finite float.
+        st.one_of(st.sampled_from([-1.5, 0.0, 2.0, 7.25]), st.floats(allow_nan=False, allow_infinity=False, width=64)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_median_has_the_bits_of_np_median(values):
+    values = np.array(values)
+    for part in (values, values[:-1]) if values.size > 1 else (values,):
+        # Both sizes, odd and even, from each draw.
+        got, want = dataset._median(part.copy()), np.median(part)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (part, got, want)
+
+
+def test_fill_imports_no_masked_arrays():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from creditworks import dataset\n"
+        "dataset._median(np.array([3.0, 1.0, 2.0, 2.0]))\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -7,9 +7,12 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_blobs
 from creditworks import (
@@ -352,6 +355,67 @@ def test_fit_forest_matches_recursive_reference(criterion):
         probs = probs + _reference_predict(want, x)
     assert np.array_equal(forest.predict_proba(x), probs / config.n_trees)
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 90),
+    n_trees=st.integers(1, 4),
+    criterion=st.sampled_from(CRITERIA),
+    max_depth=st.one_of(st.none(), st.integers(0, 6)),
+    min_samples_split=st.integers(2, 9),
+    feature_subsample=st.sampled_from([None, 2, "auto"]),
+    bootstrap=st.booleans(),
+    # From one node per step (every node has more cells) to the whole batch.
+    cap=st.sampled_from([1, 40, 400, 2**62]),
+)
+def test_lockstep_grower_equals_reference_cart(
+    seed, n, n_trees, criterion, max_depth, min_samples_split, feature_subsample, bootstrap, cap
+):
+    x, y = _tie_heavy_data(seed, n)
+    # A copy of a column ties every cut on it with the same cut on the copy.
+    x = np.column_stack([x, x[:, 3]])
+    params = CartParams(criterion, max_depth, min_samples_split, feature_subsample)
+
+    def start(t):
+        rng = np.random.default_rng((seed, t))
+        return rng, rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+
+    trees = forest._grow(forest._coded(x, y), params, map(start, range(n_trees)), cap=cap)
+    assert len(trees) == n_trees
+    for t, tree in enumerate(trees):
+        want = _reference_cart(x, y, params, *start(t))
+        for name in TREE_ARRAYS:
+            assert getattr(tree, name).tolist() == want[name], (t, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_trees=st.integers(1, 5),
+    block_rows=st.integers(2, 9),
+    remainder=st.integers(1, 8),
+    max_depth=st.one_of(st.none(), st.integers(0, 5)),
+)
+def test_self_loop_prediction_equals_reference_walk(seed, n_trees, block_rows, remainder, max_depth):
+    x, y = _tie_heavy_data(seed, 60)
+    config = ForestConfig(n_trees, CartParams(max_depth=max_depth, feature_subsample="auto"), seed)
+    grown = fit_forest(x, y, config)
+    # At least three whole walk blocks and a part of one: training rows,
+    # which hold the thresholds' neighbours, then rows off the grid.
+    rows = 3 * block_rows + 1 + remainder % (block_rows - 1)
+    noise = np.random.default_rng(seed).normal(3.0, 4.0, size=(rows - rows // 2, x.shape[1]))
+    queries = np.concatenate([x[: rows // 2], noise])
+    wants = [_reference_predict({name: getattr(t, name) for name in TREE_ARRAYS}, queries) for t in grown.trees]
+    with mock.patch.object(forest, "_WALK_CELLS", block_rows * n_trees):
+        got = grown.predict_proba(queries)
+        assert np.array_equal(grown.trees[0].predict_proba(queries), wants[0])
+    want = wants[0]
+    for tree in wants[1:]:
+        want = want + tree
+    assert np.array_equal(got, want / n_trees)
+
+
 def test_fit_cart_depth_cap_respected():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(60, 2))
@@ -556,10 +620,11 @@ def test_failed_worker_raises_and_leaves_no_child(monkeypatch, bad_tree, error, 
     bad_rows = np.random.default_rng((config.seed, bad_tree)).integers(0, len(y), size=len(y))
     real_grow = forest._grow
 
-    def failing_grow(x, y, params, rng, rows):
-        if np.array_equal(rows, bad_rows):
+    def failing_grow(coded, params, starts, **kwargs):
+        starts = list(starts)
+        if any(np.array_equal(rows, bad_rows) for _, rows in starts):
             raise MemoryError(f"tree {bad_tree}")
-        return real_grow(x, y, params, rng, rows)
+        return real_grow(coded, params, starts, **kwargs)
 
     monkeypatch.setattr(forest, "_workers", lambda x, params: 3)
     monkeypatch.setattr(forest, "_grow", failing_grow)
@@ -578,11 +643,11 @@ AUTO = CartParams(feature_subsample="auto")
         pytest.param(1, 10**9, AUTO, 1, id="one-cpu"),
         pytest.param(8, 10**9, AUTO, 2, id="capped-at-measured"),
         pytest.param(8, 1, AUTO, 1, id="no-memory-for-a-second-working-set"),
-        # The budget is 13 bytes per byte of the root's drawn features, 4 or
-        # all 14 of x's columns over its 1000 rows: 416,000 or 1,456,000
-        # bytes. 6 times x.nbytes (672,000) fitted neither.
+        # The budget is 5 bytes per byte of the root's drawn features, 4 or
+        # all 14 of x's columns over its 1000 rows: 160,000 or 560,000
+        # bytes. 128 pages (524,288 bytes) hold only the first.
         pytest.param(8, 128, AUTO, 2, id="memory-for-a-subsampled-search"),
-        pytest.param(8, 256, CartParams(), 1, id="no-memory-for-a-full-search"),
+        pytest.param(8, 128, CartParams(), 1, id="no-memory-for-a-full-search"),
     ],
 )
 def test_worker_count_is_bounded_by_cpus_cap_and_free_memory(monkeypatch, cpus, free_pages, params, want):
@@ -629,36 +694,49 @@ def _finished(pid):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
 @pytest.mark.parametrize(
-    "trees_per_worker",
+    "fitting",
     [
-        # Each child is on its last tree: it finishes it, then its write of
-        # more than a pipe buffer must fail rather than block for ever.
-        pytest.param(1, id="writing"),
-        # Each child has a tree to go, which would take a minute.
-        pytest.param(2, id="fitting"),
+        # Each child has grown its trees: its write of more than a pipe
+        # buffer must fail rather than block for ever.
+        pytest.param(False, id="writing"),
+        # Each child has steps to go, which would take minutes.
+        pytest.param(True, id="fitting"),
     ],
 )
-def test_workers_of_a_killed_parent_exit(tmp_path, trees_per_worker):
+def test_workers_of_a_killed_parent_exit(tmp_path, fitting):
     workers = 3
-    # Each worker announces its pid on its first tree; later trees are slow.
+    # Each worker announces its pid once it has grown its trees, or, with
+    # steps to go, before its first step; then it sleeps for a second, while
+    # the parent is killed. Later steps are slow.
     script = f"""
 import os, time
 import numpy as np
 from creditworks import forest
 
-real_fit_tree = forest._fit_tree
+real_grow = forest._grow
 
-def slow_fit_tree(x, y, config, t):
-    if t < {workers}:
-        os.write(1, b"%d\\n" % os.getpid())  # one write: the workers share stdout
-    time.sleep(1.0 if t < {workers} else 60.0)
-    return real_fit_tree(x, y, config, t)
+def announce():
+    os.write(1, b"%d\\n" % os.getpid())  # one write: the workers share stdout
+    time.sleep(1.0)
 
-forest._fit_tree = slow_fit_tree
+def slow_grow(coded, params, starts, stop=None):
+    if not {fitting}:
+        trees = real_grow(coded, params, starts, stop=stop)
+        announce()
+        return trees
+    announce()
+
+    def slow_stop():
+        time.sleep(0.1)
+        return stop is not None and stop()
+
+    return real_grow(coded, params, starts, stop=slow_stop)
+
+forest._grow = slow_grow
 forest._workers = lambda x, params: {workers}
 rng = np.random.default_rng(0)
 x, y = rng.random((8000, 5)), rng.integers(0, 2, 8000)
-forest.fit_forest(x, y, forest.ForestConfig(n_trees={workers * trees_per_worker}))
+forest.fit_forest(x, y, forest.ForestConfig(n_trees={2 * workers}))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(forest.__file__).resolve().parents[1])}
     with open(tmp_path / "stderr", "w") as err:

@@ -146,18 +146,22 @@ def _check_config(cfg: dict) -> None:
     _model_config(cfg, seed)
 
 
-def _load(cfg: dict, base: Path, half: str | None = None):
+def _load(cfg: dict, base: Path, half: str | None = None, skip_dropped: bool = True):
     """Parse, terminal filter, drop, fill and encode the input CSV of a
     checked config: every row, or with half "train" or "test" only that half
     of the config's split. Returns (terminal table, cleaned table, matrix,
-    encode report)."""
+    encode report). With skip_dropped, the drop-role columns that cannot
+    fault (see load_csv) are left unparsed and absent from the terminal
+    table."""
     if cfg.get("column_spec") is not None:
         specs = dataset.load_column_specs(_resolve(base, cfg["column_spec"]))
     else:
         specs = dataset.default_column_specs()
     input_path = _resolve(base, cfg["input"])
     try:
-        raw = dataset.load_csv(input_path, specs, allow_extra=cfg.get("allow_extra_columns", False))
+        raw = dataset.load_csv(
+            input_path, specs, cfg.get("allow_extra_columns", False), skip_dropped=skip_dropped
+        )
     except FileNotFoundError as exc:
         raise DataError(f"input CSV not found: {input_path}") from exc
 
@@ -303,7 +307,8 @@ def _write_numbers(path: Path, header: list, line: str, rows) -> None:
 
 
 def cmd_explore(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
-    terminal, _, matrix, _ = _load(cfg, base)
+    # Every column is parsed: a threshold rule may name a drop-role column.
+    terminal, _, matrix, _ = _load(cfg, base, skip_dropped=False)
     counts = features.threshold_counts(terminal, _threshold_rules(cfg))
     balance = dataset.class_balance(matrix.y)
     corr = features.correlation_report(matrix)

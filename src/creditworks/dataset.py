@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import codecs
+import array
+import bisect
 import csv
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -246,8 +248,9 @@ class RawLoanTable:
         return RawLoanTable(self.schema, tuple(c[rows] for c in self.columns), self.status_map)
 
 
-# Records per parse block: bounds the raw cell strings held at once.
-BLOCK_ROWS = 256
+# Bytes read per chunk; each chunk is cut back to its last line end, so it
+# bounds the raw text and field strings held at once.
+CHUNK_BYTES = 1 << 16
 
 
 def _number(text: str) -> float:
@@ -265,111 +268,283 @@ def _number(text: str) -> float:
     return number if math.isfinite(number) else math.inf
 
 
-def _parse(spec: ColumnSpec, cells: tuple, lines: list, levels: dict | None) -> np.ndarray:
-    """One block of a column: floats (NaN when missing) for a numeric column,
-    else codes from levels, which maps each stripped text to its code (the
-    blank text to -1) and grows by each new text."""
-    if levels is None:
-        block = np.fromiter(map(_number, cells), np.float64, len(cells))
-        bad = np.isinf(block)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ParseError(
-                f"numeric column {spec.name!r} holds the non-finite value "
-                f"{cells[i].strip()!r} at line {lines[i]}"
-            )
-        return block
-    texts = list(map(str.strip, cells))
-    # New codes follow set order; from_codes sorts the levels, so the column does not.
-    for text in set(texts).difference(levels):
-        levels[text] = len(levels) - 1
-    return np.fromiter(map(levels.__getitem__, texts), np.intp, len(cells))
-
-
-class _Utf8Reader(io.RawIOBase):
-    """Passes a binary stream through, raising ParseError at the first byte
-    that is not UTF-8, with its offset in the stream."""
-
-    def __init__(self, raw, owned: bool):
-        self._raw = raw
-        self._owned = owned
-        self._pending = b""  # an incomplete character held back from the last read
-        self._offset = 0  # stream offset of _pending
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = self._raw.read(len(buffer))
-        chunk = self._pending + data
+def _floats(cells: list) -> np.ndarray | None:
+    """The cells as _number reads them, with one map(float) over the column:
+    a blank cell is read as "nan" and, if that pass fails, a "%" that ends a
+    cell is cut too. None when it fails again (text that is no number,
+    spaces after a "%") or a cell is non-finite text; then _number must
+    read the cells one by one."""
+    blanks = cells.count("")
+    try:
+        texts = [c or "nan" for c in cells] if blanks else cells
+        values = np.fromiter(map(float, texts), np.float64, len(cells))
+    except ValueError:
+        blanks += cells.count("%")
         try:
-            _, used = codecs.utf_8_decode(chunk, "strict", not data)
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"CSV is not UTF-8: invalid byte at offset {self._offset + exc.start}"
-            ) from None
-        self._pending = chunk[used:]
-        self._offset += used
-        buffer[: len(data)] = data
-        return len(data)
+            texts = [c.removesuffix("%") or "nan" for c in cells]
+            values = np.fromiter(map(float, texts), np.float64, len(cells))
+        except ValueError:
+            return None
+    return values if np.count_nonzero(~np.isfinite(values)) == blanks else None
+
+
+def _codes(cells: list, raw: dict, levels: dict) -> np.ndarray:
+    """Per cell its code: raw maps each raw text seen to the code that
+    levels gives its stripped text (the blank text -1). Both grow by each
+    new text, so each distinct raw text is stripped once."""
+    try:
+        return np.fromiter(map(raw.__getitem__, cells), np.int64, len(cells))
+    except KeyError:
+        # New codes follow set order; from_codes sorts the levels, so the column does not.
+        for text in set(cells).difference(raw):
+            raw[text] = levels.setdefault(text.strip(), len(levels) - 1)
+        return np.fromiter(map(raw.__getitem__, cells), np.int64, len(cells))
+
+
+def _open(source):
+    """(stream, whether it yields bytes, whether load_csv must close it)."""
+    if isinstance(source, io.TextIOBase):
+        return source, False, False
+    if isinstance(source, (str, Path)):
+        return open(source, "rb"), True, True
+    if isinstance(source, (bytes, bytearray)):
+        return io.BytesIO(source), True, True
+    if hasattr(source, "read"):
+        return source, True, False
+    raise TypeError(f"cannot read CSV from {type(source).__name__}")
+
+
+class _Lines:
+    """The lines of a CSV stream, one chunk of about CHUNK_BYTES at a time.
+
+    A byte stream is cut after the last line end of each read and decoded
+    whole; a text stream hands over whole lines. `lines` holds the chunk's
+    lines and `pos` the index of the next one to read. Iterating yields that
+    line with its end, which is how csv.reader reads; `split_rest` reads the
+    rest of the chunk at once where it can.
+
+    A chunk holding a CR keeps the stream's own lines with their ends: the
+    stream iterates CR, LF and CRLF as line ends, or what its newline mode
+    says, and only csv.reader reads such a chunk.
+    """
+
+    def __init__(self, source):
+        self._stream, self._binary, self._owned = _open(source)
+        self._carry = b""  # bytes read past the last line end
+        self._offset = 0  # stream offset of the chunk being read
+        self._fault = None  # a UTF-8 error, raised once the lines before it are read
+        self.lines: list = []
+        self.pos = 0
+        self.before = 0  # lines of the earlier chunks
+        self.width = 0  # the header's field count, set once it is read
+        self._kept_ends = False  # whether `lines` keep their ends
+        self._open_end = False  # whether the chunk's last line has no end
+        self._splittable = False  # whether split_rest may read the chunk
+        self._quoted = False  # whether the chunk holds a quote
+
+    @property
+    def read(self) -> int:
+        """Lines read so far; the number of the line read last."""
+        return self.before + self.pos
 
     def close(self) -> None:
-        if self._owned and not self.closed:
-            self._raw.close()
-        super().close()
+        if self._owned:
+            self._stream.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        while self.pos == len(self.lines):
+            if not self.next_chunk():
+                raise StopIteration
+        line = self.lines[self.pos]
+        self.pos += 1
+        if self._kept_ends or (self._open_end and self.pos == len(self.lines)):
+            return line
+        return line + "\n"
+
+    def _chunk(self):
+        """(text, the stream's own lines or None) of the next chunk of whole
+        lines; None at the end of the stream."""
+        if self._fault is not None:
+            raise self._fault
+        if not self._binary:
+            lines = self._stream.readlines(CHUNK_BYTES)
+            return ("".join(lines), lines) if lines else None
+        data = self._stream.read(CHUNK_BYTES)
+        buf = self._carry + data
+        while data and b"\n" not in data:  # a line longer than a chunk
+            data = self._stream.read(CHUNK_BYTES)
+            buf += data
+        cut = buf.rfind(b"\n") + 1 if data else len(buf)
+        chunk, self._carry = buf[:cut], buf[cut:]
+        if not chunk:
+            return None
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self._fault = ParseError(
+                f"CSV is not UTF-8: invalid byte at offset {self._offset + exc.start}"
+            )
+            chunk = chunk[: chunk.rfind(b"\n", 0, exc.start) + 1]
+            if not chunk:
+                raise self._fault from None
+            text = chunk.decode("utf-8")
+        self._offset += len(chunk)
+        return text, None
+
+    def next_chunk(self) -> bool:
+        """Move to the next chunk; False at the end of the stream."""
+        self.before += len(self.lines)
+        self.lines, self.pos = [], 0
+        got = self._chunk()
+        if got is None:
+            return False
+        text, own = got
+        self._kept_ends = "\r" in text
+        if self._kept_ends:
+            self.lines = own or io.StringIO(text, newline="").readlines()
+        else:
+            self.lines = text.split("\n")
+            self._open_end = self.lines[-1] != ""
+            if not self._open_end:
+                self.lines.pop()
+        # csv.reader alone reads a line end, a blank line (no fields), NUL
+        # (an error before Python 3.11) and a field past its size limit.
+        self._splittable = not (
+            self._kept_ends
+            or "\0" in text
+            or "" in self.lines
+            or len(text) > csv.field_size_limit()
+        )
+        self._quoted = '"' in text
+        return True
+
+    def split_rest(self) -> list | None:
+        """The fields of the chunk's lines from pos on, if each is one record
+        of `width` fields, and pos moved past them; else None, and csv.reader
+        must read them one by one. One str.split reads each quote-free line,
+        and one strict csv.reader pass the lines with a quote, each of which
+        must be a whole record. Strict, the reader raises at a quote left
+        open at the last such line, which may close in a line it was not
+        given."""
+        if not self._splittable:
+            return None
+        rest = self.lines[self.pos :]
+        rows = list(map(str.split, rest, itertools.repeat(",")))
+        if self._quoted:
+            odd = [i for i, line in enumerate(rest) if '"' in line]
+            try:
+                records = list(csv.reader([rest[i] for i in odd], strict=True))
+            except csv.Error:
+                return None
+            if len(records) != len(odd):
+                return None  # a record spans lines
+            for i, record in zip(odd, records):
+                rows[i] = record
+        if set(map(len, rows)) != {self.width}:
+            return None
+        self.pos = len(self.lines)
+        return list(itertools.chain.from_iterable(rows))
 
 
-def _open_text(source):
-    """A text stream over `source`, and whether load_csv must close it."""
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    if isinstance(source, (str, Path)):
-        raw, owned = open(source, "rb", buffering=0), True
-    elif isinstance(source, (bytes, bytearray)):
-        raw, owned = io.BytesIO(source), True
-    elif hasattr(source, "read"):
-        raw, owned = source, False
-    else:
-        raise TypeError(f"cannot read CSV from {type(source).__name__}")
-    checked = io.BufferedReader(_Utf8Reader(raw, owned))
-    return io.TextIOWrapper(checked, encoding="utf-8", newline=""), True
+class _Columns:
+    """The parsed spec columns, built from batches of records.
+
+    `add` gathers records as one flat list of fields, `flush` parses each
+    column of the gathered batch from its stride slice of that list.
+    """
+
+    def __init__(self, specs, positions, width: int):
+        self.specs, self.positions, self.width = specs, positions, width
+        self.fields: list = []
+        self.starts: list = []  # per add(): the row of its first record
+        self.lines: list = []  # per add(): the line its first record ends on
+        numeric = [s.kind == "numeric" for s in specs]
+        self.raw = [None if n else {} for n in numeric]
+        self.levels = [None if n else {"": -1} for n in numeric]
+        # Each column grows in place in an array.array, which numpy views at
+        # the end: no parsed batch is held beside the joined column.
+        self.data = [array.array("d" if n else "q") for n in numeric]
+
+    def add(self, fields: list, line: int) -> None:
+        """Gather the fields, concatenated, of one-line records on the lines
+        from `line` on, or of one record that ends on `line`."""
+        self.starts.append(len(self.fields) // self.width)
+        self.lines.append(line)
+        self.fields += fields
+
+    def _line(self, row: int) -> int:
+        i = bisect.bisect_right(self.starts, row) - 1
+        return self.lines[i] + row - self.starts[i]
+
+    def flush(self) -> None:
+        """Parse the batch; ParseError at its first non-finite numeric cell
+        (by row, then by column in spec order)."""
+        fields, width, fault = self.fields, self.width, None
+        if not fields:
+            return
+        for spec, p, raw, levels, data in zip(
+            self.specs, self.positions, self.raw, self.levels, self.data
+        ):
+            cells = fields[p::width]
+            if raw is not None:
+                data.frombytes(_codes(cells, raw, levels).view(np.uint8))
+                continue
+            values = _floats(cells)
+            if values is None:
+                values = np.fromiter(map(_number, cells), np.float64, len(cells))
+                bad = np.flatnonzero(np.isinf(values))
+                if bad.size and (fault is None or bad[0] < fault[0]):
+                    fault = (int(bad[0]), spec, cells[bad[0]])
+            data.frombytes(values.view(np.uint8))
+        if fault is not None:
+            row, spec, cell = fault
+            raise ParseError(
+                f"numeric column {spec.name!r} holds the non-finite value "
+                f"{cell.strip()!r} at line {self._line(row)}"
+            )
+        self.fields, self.starts, self.lines = [], [], []
+
+    def columns(self) -> tuple:
+        """The parsed columns. A categorical's codes are renumbered into a
+        new array, so each column's raw codes are freed once it is made."""
+        data, self.data = self.data, None
+        columns = []
+        for levels in self.levels:
+            column = np.frombuffer(data.pop(0), np.float64 if levels is None else np.int64)
+            columns.append(column if levels is None else Categorical.from_codes(list(levels)[1:], column))
+        return tuple(columns)
 
 
-def _blocks(reader, width: int):
-    """The records in blocks of BLOCK_ROWS, each with its records' line numbers."""
-    block, lines = [], []
-    try:
-        for record in reader:
-            if len(record) != width:
-                raise ParseError(
-                    f"malformed CSV at line {reader.line_num}: "
-                    f"expected {width} fields, got {len(record)}"
-                )
-            block.append(record)
-            lines.append(reader.line_num)
-            if len(block) == BLOCK_ROWS:
-                yield block, lines
-                block, lines = [], []
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
-    if block:
-        yield block, lines
-
-
-def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
+def load_csv(source, specs, allow_extra: bool = False, skip_dropped: bool = False) -> RawLoanTable:
     """Parse an RFC-4180 UTF-8 CSV with a header row into a RawLoanTable.
 
     The header must carry exactly the spec'd column names (any order). With
     allow_extra, header columns absent from the spec are skipped instead of
     raising: their field counts are checked, but they are not parsed and the
-    table's schema is the spec. A numeric cell is stripped and loses a
-    trailing "%"; text that is no number is missing, and text that parses
-    to NaN or an infinity is a ParseError.
+    table's schema is the spec. With skip_dropped, so are the spec's
+    drop-role columns of a kind other than numeric (a numeric cell can be a
+    fault): the header must still name them, and the table leaves them out.
+    A numeric cell is stripped and loses a trailing "%"; text that is no
+    number is missing, and text that parses to NaN or an infinity is a
+    ParseError.
+
+    Of several faults, the one raised is in the first faulty record. Within
+    one record, a byte that is not UTF-8 comes first, then malformed CSV or
+    a wrong field count, then the first non-finite numeric cell in spec
+    order.
+
+    The stream is read about CHUNK_BYTES at a time. Where each of a
+    chunk's records fits on one line, str.split reads its quote-free lines
+    and one csv.reader pass its quoted ones; csv.reader reads any other
+    chunk record by record, with the records that span lines.
     """
     specs = validate_schema(specs)
-    fh, owned = _open_text(source)
+    lines = _Lines(source)
     try:
-        reader = csv.reader(fh)
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
@@ -389,22 +564,41 @@ def load_csv(source, specs, allow_extra: bool = False) -> RawLoanTable:
         if extra and not allow_extra:
             raise SchemaError(f"header columns absent from spec: {extra}")
 
-        positions = [header.index(s.name) for s in specs]
-        levels = [None if s.kind == "numeric" else {"": -1} for s in specs]
-        blocks = [[np.empty(0, np.float64 if s.kind == "numeric" else np.intp)] for s in specs]
-        for block, lines in _blocks(reader, len(header)):
-            fields = list(zip(*block))
-            for spec, p, seen, parsed in zip(specs, positions, levels, blocks):
-                parsed.append(_parse(spec, fields[p], lines, seen))
+        if skip_dropped:
+            specs = tuple(s for s in specs if s.role != "drop" or s.kind == "numeric")
+        width = lines.width = len(header)
+        parsed = _Columns(specs, [header.index(s.name) for s in specs], width)
+        fault, tried = None, None
+        try:
+            while True:
+                if lines.pos == len(lines.lines):
+                    parsed.flush()
+                    if not lines.next_chunk():
+                        break
+                if tried != lines.before:  # the first visit to this chunk
+                    tried, first = lines.before, lines.read + 1
+                    fields = lines.split_rest()
+                    if fields is not None:
+                        parsed.add(fields, first)
+                        continue
+                try:
+                    record = next(reader)
+                except csv.Error as exc:
+                    raise ParseError(f"malformed CSV at line {lines.read}: {exc}") from exc
+                if len(record) != width:
+                    raise ParseError(
+                        f"malformed CSV at line {lines.read}: "
+                        f"expected {width} fields, got {len(record)}"
+                    )
+                parsed.add(record, lines.read)
+        except ParseError as exc:
+            fault = exc
+        parsed.flush()  # a fault in an earlier record is raised first
+        if fault is not None:
+            raise fault
     finally:
-        if owned:
-            fh.close()
-    columns = (
-        np.concatenate(parsed) if seen is None
-        else Categorical.from_codes(list(seen)[1:], np.concatenate(parsed))
-        for seen, parsed in zip(levels, blocks)
-    )
-    return RawLoanTable(schema=specs, columns=tuple(columns))
+        lines.close()
+    return RawLoanTable(schema=specs, columns=parsed.columns())
 
 
 def filter_terminal(table: RawLoanTable, status_map=None) -> RawLoanTable:
@@ -436,13 +630,19 @@ def drop_columns(table: RawLoanTable, names=None) -> RawLoanTable:
 
 
 def _median(values: np.ndarray):
-    """np.median of a NaN-free 1-D array, with the same bits. np.median's own
-    NaN check imports numpy.ma, which costs every command time and memory."""
+    """np.median of a NaN-free 1-D array, with the same bits wherever that
+    is finite. np.median's own NaN check imports numpy.ma, which costs every
+    command time and memory. Like np.median, the sum starts from +0.0, so
+    the median of -0.0 is +0.0. Where the two middle values' sum overflows,
+    np.median gives inf; this gives the finite mean of their halves."""
     half = values.size // 2
     if values.size % 2:
-        return np.partition(values, half)[half]
+        return 0.0 + np.partition(values, half)[half]
     part = np.partition(values, (half - 1, half))
-    return (part[half - 1] + part[half]) / 2.0
+    lo, hi = part[half - 1], part[half]
+    with np.errstate(over="ignore"):
+        total = 0.0 + lo + hi
+    return total / 2.0 if np.isfinite(total) else lo / 2.0 + hi / 2.0
 
 
 def _filled(spec: ColumnSpec, column, gaps: np.ndarray):

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_table
@@ -537,7 +538,7 @@ def test_load_csv_rejects_non_finite_numeric_text(text):
 
 
 def test_load_csv_non_finite_line_counts_quoted_newlines(monkeypatch):
-    monkeypatch.setattr(dataset, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(dataset, "CHUNK_BYTES", 8)
     with pytest.raises(ParseError, match="line 5"):
         load_csv(_csv(
             'loan_amnt,purpose,loan_status\n1,"two\nlines",Fully Paid\n'
@@ -747,16 +748,16 @@ def _book_text(n=300, seed=0):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("block_rows", [7, 64, dataset.BLOCK_ROWS])
-def test_columnar_chain_matches_reference_on_a_book(monkeypatch, block_rows):
-    monkeypatch.setattr(dataset, "BLOCK_ROWS", block_rows)
+@pytest.mark.parametrize("chunk_bytes", [7, 64, 256, dataset.CHUNK_BYTES])
+def test_columnar_chain_matches_reference_on_a_book(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(dataset, "CHUNK_BYTES", chunk_bytes)
     matrix, report = _assert_matches_reference(_book_text(), BOOK_SPECS)
     assert report.dropped_constant == ("policy_code",)
     assert "issue_d=Mar-2018" in matrix.columns
 
 
 def test_columnar_chain_matches_reference_drop_row_and_status_map(monkeypatch):
-    monkeypatch.setattr(dataset, "BLOCK_ROWS", 16)
+    monkeypatch.setattr(dataset, "CHUNK_BYTES", 1000)
     status_map = {"Fully Paid": 0, "Charged Off": 1, "Default": 1, "Late (31-120 days)": 1}
     _assert_matches_reference(_book_text(200, seed=1), BOOK_SPECS, status_map, "drop_row")
     _assert_matches_reference(_book_text(200, seed=2), BOOK_SPECS, status_map)
@@ -798,6 +799,194 @@ def test_columnar_header_only_gives_empty_columns():
         filter_terminal(table)
 
 
+# --- Chunked ingest against a record-by-record oracle ----------------------
+
+INGEST_SPECS = [
+    ColumnSpec("loan_amnt", "numeric"),
+    ColumnSpec("purpose", "categorical"),
+    ColumnSpec("emp_title", "text", "drop"),
+    ColumnSpec("int_rate", "numeric", "drop"),
+    ColumnSpec("loan_status", "text", "target"),
+]
+# member_id is outside the spec, read with allow_extra.
+INGEST_HEADER = "loan_amnt,purpose,member_id,emp_title,int_rate,loan_status"
+
+
+def _ref_outcome(data: bytes, specs, skip_dropped=False):
+    """What load_csv must make of CSV bytes with at most one fault, read the
+    way the record-by-record parser read them: the whole text decoded, then
+    csv.reader one record at a time. ("ok", schema, rows), or the exception
+    type and message."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError, f"CSV is not UTF-8: invalid byte at offset {exc.start}"
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        return ParseError, "CSV has no header row"
+    missing = [s.name for s in specs if s.name not in header]
+    if missing:
+        return SchemaError, f"spec columns absent from header: {missing}"
+    kept = tuple(s for s in specs if not (skip_dropped and s.role == "drop" and s.kind != "numeric"))
+    rows = []
+    try:
+        for record in reader:
+            line = reader.line_num
+            if len(record) != len(header):
+                return ParseError, (
+                    f"malformed CSV at line {line}: expected {len(header)} fields, got {len(record)}"
+                )
+            row = tuple(_ref_parse_cell(record[header.index(s.name)], s.kind) for s in kept)
+            for spec, cell in zip(kept, row):
+                if isinstance(cell, float) and not np.isfinite(cell):
+                    text = record[header.index(spec.name)].strip()
+                    return ParseError, (
+                        f"numeric column {spec.name!r} holds the non-finite value {text!r} at line {line}"
+                    )
+            rows.append(row)
+    except csv.Error as exc:
+        return ParseError, f"malformed CSV at line {reader.line_num}: {exc}"
+    return "ok", kept, rows
+
+
+def _assert_loads_as_oracle(source, want, skip_dropped=False):
+    if want[0] == "ok":
+        table = load_csv(source, INGEST_SPECS, allow_extra=True, skip_dropped=skip_dropped)
+        _assert_views_match(table, want[1], want[2])
+        return
+    with pytest.raises(want[0]) as info:
+        load_csv(source, INGEST_SPECS, allow_extra=True, skip_dropped=skip_dropped)
+    assert str(info.value) == want[1]
+
+
+_NUMBERS = st.sampled_from([
+    "1000", " 12.5 ", "13.56%", " 7 % ", "7% ", "%", "5%%", "", " ", "\xa0", "n/a", "12,5x",
+    "1_000", "１２", "\xa012\xa0", "-0", "1e5", ".5", "two\nlines",
+]) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_TEXTS = st.sampled_from([
+    "car", " car ", "", "  ", "Nurse, RN", 'say "hi"', '""', "two\nlines", "cr\r\nlf",
+    "bare\rcr", "nul\x00", "caf\xe9", "\xa0", "x",
+])
+_STATUSES = st.sampled_from(["Fully Paid", "Charged Off", "Current", " Fully Paid ", "", "in\nflight"])
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", " Infinity ", "1e999", "nan%"])
+_FAULTS = [None, "ragged", "blank", "non_finite", "bad_utf8", "open_quote", "bom"]
+
+
+@st.composite
+def _books(draw):
+    """CSV bytes in the ingest layout with quoted commas, doubled quotes,
+    quoted line ends, CRLF and bare-CR line ends, NUL, "%", blank and
+    whitespace-only cells, and at most one fault."""
+    cells = st.tuples(_NUMBERS, _TEXTS, st.integers(0, 99).map(str), _TEXTS, _NUMBERS, _STATUSES)
+    rows = [list(row) for row in draw(st.lists(cells, max_size=8))]
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault in ("ragged", "non_finite") and not rows:
+        fault = None
+    if fault == "ragged":
+        row = draw(st.sampled_from(rows))
+        row.append("x") if draw(st.booleans()) else row.pop()
+    elif fault == "non_finite":
+        draw(st.sampled_from(rows))[draw(st.sampled_from([0, 4]))] = draw(_NON_FINITE)
+
+    def field(cell):
+        if draw(st.booleans()) or any(c in cell for c in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    lines = [INGEST_HEADER] + [",".join(map(field, row)) for row in rows]
+    if fault == "open_quote":
+        lines.append('1,"car,7,x,1,Fully Paid')
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if not draw(st.booleans()):
+        ends[-1] = ""  # no end after the last line
+    if fault == "blank":
+        at = draw(st.integers(0, len(lines) - 1))
+        ends[at] += draw(st.sampled_from(["\n", "\r\n"]))
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if fault == "bad_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    elif fault == "bom":
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_books(), chunk_bytes=st.integers(1, 48), skip_dropped=st.booleans())
+def test_chunked_ingest_equals_the_record_oracle(data, chunk_bytes, skip_dropped):
+    # Chunks of a few bytes cut inside quoted records that span lines.
+    want = _ref_outcome(data, INGEST_SPECS, skip_dropped)
+    with mock.patch.object(dataset, "CHUNK_BYTES", chunk_bytes):
+        _assert_loads_as_oracle(data, want, skip_dropped)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        # A text stream with newline="" reads the same lines.
+        _assert_loads_as_oracle(io.StringIO(text, newline=""), want, skip_dropped)
+
+
+_HEAD = INGEST_HEADER + "\n"
+_ROW = "1,car,7,eng,5%,Fully Paid\n"
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 5, 64, dataset.CHUNK_BYTES])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # The first faulty record wins, whatever its fault.
+        (_HEAD + _ROW + "1,car,7\n" + "1,car,7,eng,inf,Current\n",
+         "malformed CSV at line 3: expected 6 fields, got 3"),
+        (_HEAD + "1,car,7,eng,inf,Current\n" + "1,car,7\n",
+         "numeric column 'int_rate' holds the non-finite value 'inf' at line 2"),
+        (_HEAD + _ROW + "1,caf\udcff,7,eng,5,x\n" + "nan,car,7,eng,5,Current\n",
+         f"CSV is not UTF-8: invalid byte at offset {len(_HEAD + _ROW + '1,caf')}"),
+        (_HEAD + _ROW + '"a\nb",car,7,eng,5,x\n' + "nan,car,7,eng,5,Current\n",
+         "numeric column 'loan_amnt' holds the non-finite value 'nan' at line 5"),
+        # Within one record: a byte that is no UTF-8, then the field count,
+        # then the first non-finite cell in spec order.
+        (_HEAD + "1,caf\udcff,7\n", f"CSV is not UTF-8: invalid byte at offset {len(_HEAD + '1,caf')}"),
+        (_HEAD + _ROW + "inf,car,7,eng,nan,Current,x\n", "malformed CSV at line 3: expected 6 fields, got 7"),
+        (_HEAD + _ROW + "1e999,car,7,eng,nan,Current\n",
+         "numeric column 'loan_amnt' holds the non-finite value '1e999' at line 3"),
+    ],
+    ids=["ragged-first", "non-finite-first", "utf8-first", "non-finite-after-quoted-lines",
+         "utf8-before-field-count", "field-count-before-non-finite", "spec-order"],
+)
+def test_the_first_faulty_record_decides_the_error(data, message, chunk_bytes):
+    data = data.encode("utf-8", "surrogateescape")
+    with mock.patch.object(dataset, "CHUNK_BYTES", chunk_bytes):
+        with pytest.raises(ParseError) as info:
+            load_csv(data, INGEST_SPECS, allow_extra=True)
+    assert str(info.value) == message
+
+
+def test_blank_line_in_a_one_column_book_has_no_fields():
+    # str.split would read the blank line as one blank field.
+    with pytest.raises(ParseError, match="line 3: expected 1 fields, got 0"):
+        load_csv(b"loan_status\nFully Paid\n\nCharged Off\n", [ColumnSpec("loan_status", "text", "target")])
+
+
+def test_skipped_columns_are_header_checked_but_never_parsed(monkeypatch):
+    text = _HEAD + "1,car,7,eng,5%,Fully Paid\n" + '2,house,8,"Smith, Jones",,Current\n'
+    table = load_csv(_csv(text), INGEST_SPECS, allow_extra=True, skip_dropped=True)
+    # The numeric drop column stays: a numeric cell can be a fault.
+    assert table.names == ("loan_amnt", "purpose", "int_rate", "loan_status")
+    assert table.column("int_rate") == [5.0, None]
+    with pytest.raises(ParseError, match="'int_rate' holds the non-finite value 'inf'"):
+        load_csv(_csv(_HEAD + "1,car,7,eng,inf,Fully Paid\n"), INGEST_SPECS, allow_extra=True,
+                 skip_dropped=True)
+    with pytest.raises(SchemaError, match=r"absent from header: \['emp_title'\]"):
+        load_csv(_csv(text.replace("emp_title", "job")), INGEST_SPECS, allow_extra=True,
+                 skip_dropped=True)
+    coded = []
+    monkeypatch.setattr(dataset, "_codes", lambda cells, *_: coded.append(cells) or np.full(len(cells), -1))
+    load_csv(_csv(text), INGEST_SPECS, allow_extra=True, skip_dropped=True)
+    assert coded == [["car", "house"], ["Fully Paid", "Current"]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -807,12 +996,20 @@ def test_columnar_header_only_gives_empty_columns():
         max_size=40,
     )
 )
+@example([-0.0])  # np.median's sum starts from +0.0
+@example([8.988465674311579e+307, 8.98846567431158e+307])  # the middle pair's sum overflows
 def test_median_has_the_bits_of_np_median(values):
     values = np.array(values)
     for part in (values, values[:-1]) if values.size > 1 else (values,):
         # Both sizes, odd and even, from each draw.
-        got, want = dataset._median(part.copy()), np.median(part)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (part, got, want)
+        got = dataset._median(part.copy())
+        with np.errstate(over="ignore"):
+            want = np.median(part)
+        if np.isfinite(want):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (part, got, want)
+        else:
+            middle = np.sort(part)[part.size // 2 - 1 : part.size // 2 + 1]
+            assert np.isfinite(got) and middle[0] <= got <= middle[1], (part, got)
 
 
 def test_fill_imports_no_masked_arrays():

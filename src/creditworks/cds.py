@@ -76,6 +76,8 @@ def fair_spreads(notional, maturity, risk_free_rate: float, pd, recovery_rate) -
     maturity > 0 (whichever of the survival and default branches has
     weight, its time factor is positive) unless the discount factors leave
     the float range, which raises DataError; pd = 0 and R = 1 give exactly 0.
+    The spread is computed as (1 - R) D(tau) / ((1 - pd) / pd * T D(T) +
+    tau D(tau)), which never falls as pd rises, not even by an ulp.
 
     The discount factors come from discount() (math.exp), once per distinct
     maturity: np.exp may differ from it in the last bit, and the recorded
@@ -95,7 +97,12 @@ def fair_spreads(notional, maturity, risk_free_rate: float, pd, recovery_rate) -
         annuity_unit = (1.0 - pd) * maturity * d_mat + pd * tau * d_tau
     bad = ~((annuity_unit > 0.0) & (annuity_unit < math.inf))
     _check(bad, maturity, "premium annuity is not a positive finite number at maturity (years)")
-    spread = protection_unit / annuity_unit
+    # protection / annuity with pd divided out: each step is a monotone
+    # rounding, so the spread never falls as pd rises. At pd = 0 the odds are
+    # inf and the spread exactly 0; odds past the float range give 0 too.
+    with np.errstate(divide="ignore", over="ignore"):
+        odds = (1.0 - pd) / pd
+        spread = (1.0 - recovery_rate) * d_tau / (odds * maturity * d_mat + tau * d_tau)
     return CdsQuote(
         spread_per_annum=_unwrap(spread),
         spread_bps=_unwrap(spread * 1e4),

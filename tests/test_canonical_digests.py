@@ -39,7 +39,7 @@ CASES = {
         {
             "comparison.json": "4bbe4641ab230acabb8572ecec598791b481c5e245ac2a59d5dcf8ae0cbe6cf5",
             "model.json": "b443de6f91b12f85dc1568456abad6b376acd3c9b50e4a41f17f869f786037ea",
-            "pricing.csv": "3d20b55268ecdd52cdc4bbe93e7a9af9c66d3cb93b731187aaee65ec66e6faf9",
+            "pricing.csv": "8d14566c3a23b74cf035555adf32187b19f14e7faa0e8514a8df6537d932bbdf",
             "report.json": "eecf61ea5d60b06a33523c059332aa50135cceca1320f20ca30ce36b251c1509",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
             "roc.csv": "a9c1b2853102be22e9b17a743683c928cbe73f218934ead441e487a6eb3c2d8e",
@@ -52,7 +52,7 @@ CASES = {
         {
             "comparison.json": "4c66f08c291f0cc9b6ec10109e0f967353865b575fa80b7acf7d483ef5a071e8",
             "model.json": "cdaec04965606b78eeb64f30d27093037f0086334bdfc14e6c22a967ca5ff75c",
-            "pricing.csv": "1ae587e5c67ff3c8a767174b078f37c452c11d8383915ade55e3ca435d64a9a2",
+            "pricing.csv": "b97202683d729f1165f0c94351702f42c47f1a457c0521bf19dccb2273325e9d",
             "report.json": "9d10600641f6b2d80666d72a494b09a9d3980109e21665be1932380e7ec3fcbc",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
             "roc.csv": "b0d40914f52389a23994c3f70704be9e430799a97ed824c626647480bcee99e3",

@@ -52,12 +52,14 @@ def _ref_ead(funded, principal_received, annual_rate, term_months):
 
 
 def _ref_spread_bps(maturity, risk_free_rate, pd, recovery_rate):
+    """protection / annuity with pd divided out, one contract at a time."""
+    if pd == 0.0:
+        return 0.0
     tau = maturity / 2.0
     d_tau = math.exp(-risk_free_rate * tau)
     d_mat = math.exp(-risk_free_rate * maturity)
-    protection_unit = (1.0 - recovery_rate) * pd * d_tau
-    annuity_unit = (1.0 - pd) * maturity * d_mat + pd * tau * d_tau
-    return protection_unit / annuity_unit * 1e4
+    odds = (1.0 - pd) / pd
+    return (1.0 - recovery_rate) * d_tau / (odds * maturity * d_mat + tau * d_tau) * 1e4
 
 
 def _ref_record(record, cols):
@@ -289,11 +291,6 @@ _MATURITY = st.integers(1, 480).map(lambda months: months / 12.0)
 _PROPERTY = settings(max_examples=300, deadline=None)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the annuity's two terms round apart, so a PD one ulp higher can "
-    "give a spread a few ulps lower (CHANGES.md FOUND)",
-)
 @_PROPERTY
 @example(low=0.2117, high=0.21170000000000003, maturity=3.0, risk_free=0.03, recovery=0.0)
 @given(low=_UNIT, high=_UNIT, maturity=_MATURITY, risk_free=_RATE, recovery=_UNIT)

@@ -323,9 +323,10 @@ class _Lines:
     line with its end, which is how csv.reader reads; `split_rest` reads the
     rest of the chunk at once where it can.
 
-    A chunk holding a CR keeps the stream's own lines with their ends: the
-    stream iterates CR, LF and CRLF as line ends, or what its newline mode
-    says, and only csv.reader reads such a chunk.
+    A chunk whose lines all end in LF, or all in CRLF, is split at that
+    end. Any other chunk with a CR keeps the stream's own lines with their
+    ends (the stream iterates CR, LF and CRLF as line ends, or what its
+    newline mode says), and only csv.reader reads it.
     """
 
     def __init__(self, source):
@@ -337,7 +338,7 @@ class _Lines:
         self.pos = 0
         self.before = 0  # lines of the earlier chunks
         self.width = 0  # the header's field count, set once it is read
-        self._kept_ends = False  # whether `lines` keep their ends
+        self._end = "\n"  # the chunk's line end, None where `lines` keep their own
         self._open_end = False  # whether the chunk's last line has no end
         self._splittable = False  # whether split_rest may read the chunk
         self._quoted = False  # whether the chunk holds a quote
@@ -360,9 +361,9 @@ class _Lines:
                 raise StopIteration
         line = self.lines[self.pos]
         self.pos += 1
-        if self._kept_ends or (self._open_end and self.pos == len(self.lines)):
+        if self._end is None or (self._open_end and self.pos == len(self.lines)):
             return line
-        return line + "\n"
+        return line + self._end
 
     def _chunk(self):
         """(text, the stream's own lines or None) of the next chunk of whole
@@ -402,18 +403,23 @@ class _Lines:
         if got is None:
             return False
         text, own = got
-        self._kept_ends = "\r" in text
-        if self._kept_ends:
+        if "\r" not in text:
+            self._end = "\n"
+        elif text.count("\r") == text.count("\r\n") == text.count("\n"):
+            self._end = "\r\n"
+        else:
+            self._end = None
+        if self._end is None:
             self.lines = own or io.StringIO(text, newline="").readlines()
         else:
-            self.lines = text.split("\n")
+            self.lines = text.split(self._end)
             self._open_end = self.lines[-1] != ""
             if not self._open_end:
                 self.lines.pop()
-        # csv.reader alone reads a line end, a blank line (no fields), NUL
-        # (an error before Python 3.11) and a field past its size limit.
+        # csv.reader alone reads mixed line ends, a blank line (no fields),
+        # NUL (an error before Python 3.11) and a field past its size limit.
         self._splittable = not (
-            self._kept_ends
+            self._end is None
             or "\0" in text
             or "" in self.lines
             or len(text) > csv.field_size_limit()

@@ -586,6 +586,7 @@ def load_csv(source, specs, allow_extra: bool = False, skip_dropped: bool = Fals
                     fields = lines.split_rest()
                     if fields is not None:
                         parsed.add(fields, first)
+                        del fields  # parsed holds the batch alone, until its flush
                         continue
                 try:
                     record = next(reader)

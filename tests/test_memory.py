@@ -15,9 +15,10 @@ the peak of the copy it guards against:
   made (1.69 against 1.96 matrices).
 
 `load_csv` is bounded in multiples of the column bytes it keeps: it holds
-one chunk's text and fields at a time and grows each column in place (1.27
+one chunk's text and fields at a time and grows each column in place (1.29
 kept bytes; 10.2 when the whole file is one chunk, 2.09 when every batch
-is kept until the columns are joined).
+is kept until the columns are joined, 1.50 when the last chunk's fields
+live on while the next chunk is split).
 """
 
 import random

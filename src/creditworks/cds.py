@@ -97,9 +97,8 @@ def fair_spreads(notional, maturity, risk_free_rate: float, pd, recovery_rate) -
         annuity_unit = (1.0 - pd) * maturity * d_mat + pd * tau * d_tau
     bad = ~((annuity_unit > 0.0) & (annuity_unit < math.inf))
     _check(bad, maturity, "premium annuity is not a positive finite number at maturity (years)")
-    # protection / annuity with pd divided out: each step is a monotone
-    # rounding, so the spread never falls as pd rises. At pd = 0 the odds are
-    # inf and the spread exactly 0; odds past the float range give 0 too.
+    # At pd = 0 the odds are inf and the spread exactly 0; odds past the
+    # float range give 0 too.
     with np.errstate(divide="ignore", over="ignore"):
         odds = (1.0 - pd) / pd
         spread = (1.0 - recovery_rate) * d_tau / (odds * maturity * d_mat + tau * d_tau)

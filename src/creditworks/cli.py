@@ -160,7 +160,10 @@ def _load(cfg: dict, base: Path, half: str | None = None, skip_dropped: bool = T
     input_path = _resolve(base, cfg["input"])
     try:
         raw = dataset.load_csv(
-            input_path, specs, cfg.get("allow_extra_columns", False), skip_dropped=skip_dropped
+            input_path,
+            specs,
+            allow_extra=cfg.get("allow_extra_columns", False),
+            skip_dropped=skip_dropped,
         )
     except FileNotFoundError as exc:
         raise DataError(f"input CSV not found: {input_path}") from exc

@@ -466,7 +466,7 @@ class _Columns:
         self.specs, self.positions, self.width = specs, positions, width
         self.fields: list = []
         self.starts: list = []  # per add(): the row of its first record
-        self.lines: list = []  # per add(): the line its first record ends on
+        self.line_nos: list = []  # per add(): the line its first record ends on
         numeric = [s.kind == "numeric" for s in specs]
         self.raw = [None if n else {} for n in numeric]
         self.levels = [None if n else {"": -1} for n in numeric]
@@ -478,12 +478,12 @@ class _Columns:
         """Gather the fields, concatenated, of one-line records on the lines
         from `line` on, or of one record that ends on `line`."""
         self.starts.append(len(self.fields) // self.width)
-        self.lines.append(line)
+        self.line_nos.append(line)
         self.fields += fields
 
-    def _line(self, row: int) -> int:
+    def _line_of(self, row: int) -> int:
         i = bisect.bisect_right(self.starts, row) - 1
-        return self.lines[i] + row - self.starts[i]
+        return self.line_nos[i] + row - self.starts[i]
 
     def flush(self) -> None:
         """Parse the batch; ParseError at its first non-finite numeric cell
@@ -509,9 +509,9 @@ class _Columns:
             row, spec, cell = fault
             raise ParseError(
                 f"numeric column {spec.name!r} holds the non-finite value "
-                f"{cell.strip()!r} at line {self._line(row)}"
+                f"{cell.strip()!r} at line {self._line_of(row)}"
             )
-        self.fields, self.starts, self.lines = [], [], []
+        self.fields, self.starts, self.line_nos = [], [], []
 
     def columns(self) -> tuple:
         """The parsed columns. A categorical's codes are renumbered into a

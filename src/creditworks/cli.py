@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, exposure, features, forest, logreg, metrics
-from .cds import fair_spreads
+# The model, metrics and CDS modules are imported by the commands that run
+# them, so that a command loads only what it uses.
+from . import dataset, exposure, features
 from .errors import (
     CreditworksError,
     DataError,
@@ -36,7 +37,8 @@ from .errors import (
 
 DEFAULT_MODEL_FILE = "model.json"
 
-# Rows per prediction block: bounds the scaled copy a logistic model needs.
+# Rows per block of prediction and of writing a matrix or a CSV: bounds the
+# scaled copy a logistic model needs and the Python numbers a CSV is written from.
 PREDICT_ROWS = 4096
 
 
@@ -146,13 +148,10 @@ def _check_config(cfg: dict) -> None:
     _model_config(cfg, seed)
 
 
-def _load(cfg: dict, base: Path, half: str | None = None, skip_dropped: bool = True):
-    """Parse, terminal filter, drop, fill and encode the input CSV of a
-    checked config: every row, or with half "train" or "test" only that half
-    of the config's split. Returns (terminal table, cleaned table, matrix,
-    encode report). With skip_dropped, the drop-role columns that cannot
-    fault (see load_csv) are left unparsed and absent from the terminal
-    table."""
+def _terminal(cfg: dict, base: Path, skip_dropped: bool = True) -> dataset.RawLoanTable:
+    """The terminal-status rows of a checked config's input CSV; the parsed
+    table is freed on return. With skip_dropped, the drop-role columns that
+    cannot fault (see load_csv) are left unparsed and absent."""
     if cfg.get("column_spec") is not None:
         specs = dataset.load_column_specs(_resolve(base, cfg["column_spec"]))
     else:
@@ -167,15 +166,25 @@ def _load(cfg: dict, base: Path, half: str | None = None, skip_dropped: bool = T
         )
     except FileNotFoundError as exc:
         raise DataError(f"input CSV not found: {input_path}") from exc
+    return dataset.filter_terminal(raw, cfg.get("status_map"))
 
-    terminal = dataset.filter_terminal(raw, cfg.get("status_map"))
-    cleaned = dataset.handle_missing(
+
+def _cleaned(cfg: dict, terminal: dataset.RawLoanTable) -> dataset.RawLoanTable:
+    """The terminal table without its drop-role columns and with its missing
+    cells handled by the config's policy."""
+    return dataset.handle_missing(
         dataset.drop_columns(terminal),
         cfg.get("missing_policy", "fill_median_or_mode"),
     )
+
+
+def _load(cfg: dict, base: Path, half: str | None = None):
+    """(matrix, encode report) of a checked config's input CSV: every row, or
+    with half "train" or "test" only that half of the config's split. Only
+    the cleaned table is alive while the matrix is encoded."""
+    cleaned = _cleaned(cfg, _terminal(cfg, base))
     rows = None if half is None else _split_rows(cfg, cleaned.row_count)[half]
-    matrix, encode_report = dataset.encode(cleaned, rows)
-    return terminal, cleaned, matrix, encode_report
+    return dataset.encode(cleaned, rows)
 
 
 def _split_rows(cfg: dict, n_rows: int) -> dict:
@@ -195,9 +204,13 @@ def _model_config(cfg: dict, seed: int):
     kind = spec.pop("kind", "logreg")
     try:
         if kind == "logreg":
+            from . import logreg
+
             # The CLI always fits by Newton; "newton" is no config key (README).
             return kind, logreg.LogregConfig(seed=seed, newton=True, **spec)
         if kind == "forest":
+            from . import forest
+
             # Tree settings the config leaves out keep ForestConfig's defaults.
             tree = {f.name: spec.pop(f.name) for f in dataclasses.fields(forest.CartParams) if f.name in spec}
             params = dataclasses.replace(forest.ForestConfig().params, **tree)
@@ -220,12 +233,16 @@ def _load_model(path: Path):
     kind = payload.get("kind")
     try:
         if kind == "logreg":
+            from . import logreg
+
             model = logreg.LogregModel.from_json_dict(payload)
             scaler = features.Scaler.from_json_dict(payload["scaler"])
             if scaler.columns != model.columns:
                 raise DataError("its scaler was fitted on other columns than the model")
             return kind, model, scaler
         if kind == "forest":
+            from . import forest
+
             return kind, forest.forest_from_json_dict(payload), None
     except KeyError as exc:
         raise DataError(f"model {path} lacks the field {exc}") from exc
@@ -309,9 +326,32 @@ def _write_numbers(path: Path, header: list, line: str, rows) -> None:
         fh.writelines(map(line.__mod__, rows))
 
 
+def _numbered_rows(*columns):
+    """(id, *values) rows of equal-length arrays, as Python numbers made
+    PREDICT_ROWS rows at a time rather than whole columns at once."""
+    for start in range(0, len(columns[0]), PREDICT_ROWS):
+        stop = start + PREDICT_ROWS
+        yield from zip(range(start, stop), *(c[start:stop].tolist() for c in columns))
+
+
+def _save_rows(path: Path, array: np.ndarray, rows: np.ndarray) -> None:
+    """np.save(path, array[rows]), the same bytes, without the copy of
+    array[rows]: the .npy header, then PREDICT_ROWS rows at a time."""
+    header = {
+        "descr": np.lib.format.dtype_to_descr(array.dtype),
+        "fortran_order": False,
+        "shape": (rows.size, *array.shape[1:]),
+    }
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, rows.size, PREDICT_ROWS):
+            fh.write(array[rows[start : start + PREDICT_ROWS]])
+
+
 def cmd_explore(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     # Every column is parsed: a threshold rule may name a drop-role column.
-    terminal, _, matrix, _ = _load(cfg, base, skip_dropped=False)
+    terminal = _terminal(cfg, base, skip_dropped=False)
+    matrix = dataset.encode(_cleaned(cfg, terminal))[0]
     counts = features.threshold_counts(terminal, _threshold_rules(cfg))
     balance = dataset.class_balance(matrix.y)
     corr = features.correlation_report(matrix)
@@ -333,22 +373,22 @@ def cmd_explore(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 
 def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
-    matrix, encode_report = _load(cfg, base)[2:]
+    matrix, encode_report = _load(cfg, base)
     halves = _split_rows(cfg, matrix.n_rows)
     prep = out / "prepared"
     prep.mkdir(parents=True, exist_ok=True)
-    # One half at a time is copied out of the matrix, freed before the scaler's fit.
-    np.save(prep / "x_test.npy", matrix.x[halves["test"]])
-    np.save(prep / "y_test.npy", matrix.y[halves["test"]])
-    rows = halves["train"]
-    train = dataset.DesignMatrix(matrix.columns, matrix.x[rows], matrix.y[rows])
+    # Each half is written out of the matrix by row blocks, never copied whole.
+    for half, rows in halves.items():
+        _save_rows(prep / f"x_{half}.npy", matrix.x, rows)
+        _save_rows(prep / f"y_{half}.npy", matrix.y, rows)
+    columns = matrix.columns
     del matrix
-    np.save(prep / "x_train.npy", train.x)
-    np.save(prep / "y_train.npy", train.y)
+    # The scaler is fitted on the training half read back, once the matrix is freed.
+    train = dataset.DesignMatrix(columns, np.load(prep / "x_train.npy"), np.load(prep / "y_train.npy"))
     _write_json(
         prep / "columns.json",
         {
-            "columns": list(train.columns),
+            "columns": list(columns),
             "seed": cfg["seed"],
             "test_fraction": _finite(cfg.get("test_fraction", 0.2), "config 'test_fraction'"),
             "train_rows": train.n_rows,
@@ -365,9 +405,11 @@ def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     kind, model_cfg = _model_config(cfg, cfg["seed"])
     # Only the training rows are encoded; the tables are freed before the fit.
-    train = _load(cfg, base, "train")[2]
+    train = _load(cfg, base, "train")[0]
 
     if kind == "logreg":
+        from . import logreg
+
         scaler = features.fit_scaler(train)
         # The matrix is this command's own: it is scaled in place, not copied.
         train.x.setflags(write=True)
@@ -378,6 +420,8 @@ def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
         history = [[i, v] for i, v in model.history]
         log = {"iterations": model.n_iters, "final_loss": model.final_loss, "history": history}
     else:
+        from . import forest
+
         model = forest.fit_forest(train.x, train.y, model_cfg, columns=train.columns)
         payload = forest.forest_to_json_dict(model)
         log = {"n_trees": model.n_trees, "trees": [t.stats() for t in model.trees]}
@@ -390,7 +434,9 @@ def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 
 def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
-    test = _load(cfg, base, "test")[2]
+    from . import metrics
+
+    test = _load(cfg, base, "test")[0]
     kind, pd_scores, y_pred = _predictions(model_path, test)
     rep = metrics.report(test.y, y_pred)
     curve = metrics.roc(test.y, pd_scores)
@@ -422,17 +468,20 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 
 def cmd_score(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
-    _, _, matrix, _ = _load(cfg, base)
-    _, pd_scores, labels = _predictions(model_path, matrix)
-    rows = zip(range(len(pd_scores)), pd_scores.tolist(), labels.tolist())
+    # The matrix is freed once predicted.
+    _, pd_scores, labels = _predictions(model_path, _load(cfg, base)[0])
+    rows = _numbered_rows(pd_scores, labels)
     _write_numbers(out / "scores.csv", ["id", "pd", "label"], "%d,%r,%d\n", rows)
     print(f"wrote {out / 'scores.csv'} ({len(pd_scores)} rows)")
     return 0
 
 
 def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
-    _, table, matrix, _ = _load(cfg, base)
-    _, pd_scores, _ = _predictions(model_path, matrix)
+    from .cds import fair_spreads
+
+    table = _cleaned(cfg, _terminal(cfg, base))
+    # The matrix is freed once predicted.
+    _, pd_scores, _ = _predictions(model_path, dataset.encode(table)[0])
     cols = _exposure_columns(cfg)
     recovery = exposure.recovery_rates(table, cols)
     risk_free = _finite(cfg.get("risk_free_rate", 0.0), "config 'risk_free_rate'")
@@ -459,7 +508,7 @@ def cmd_price(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
         out / "pricing.csv",
         ["id", "pd", "ead", "recovery_rate", "lgd", "el", "spread_bps"],
         "%d" + ",%r" * len(columns) + "\n",
-        zip(range(len(pd_scores)), *(c.tolist() for c in columns)),
+        _numbered_rows(*columns),
     )
     _write_json(out / "recovery.json", recovery.to_json_dict())
     print(f"wrote {out / 'pricing.csv'} ({len(pd_scores)} rows)")

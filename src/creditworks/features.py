@@ -10,6 +10,9 @@ import numpy as np
 from .dataset import DesignMatrix
 from .errors import DataError
 
+# Columns per block of fit_scaler's standard deviation.
+SCALER_COLUMNS = 8
+
 
 class PearsonResult(NamedTuple):
     r: float
@@ -106,12 +109,23 @@ class Scaler:
 
 
 def fit_scaler(matrix) -> Scaler:
-    """Fit a standardizer to a design matrix (training half only)."""
+    """Fit a standardizer to a design matrix (training half only).
+
+    The standard deviation is taken over blocks of SCALER_COLUMNS columns,
+    so its temporary is one block's copy, not the matrix's. A block of two
+    or more columns sums each column row by row, as x.std(axis=0) does, so
+    the bits are the same; a 1-column slice would be summed pairwise, so
+    the last block is never 1 column wide unless the matrix is.
+    """
     x = np.asarray(matrix.x, dtype=np.float64)
     if x.shape[0] == 0:
         raise DataError("cannot fit a scaler on an empty matrix")
     mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+    k = x.shape[1]
+    starts = range(0, max(k - 1, 1), SCALER_COLUMNS)
+    scale = np.empty(k)
+    for start, stop in zip(starts, [*starts[1:], k]):
+        scale[start:stop] = x[:, start:stop].std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
     mean.setflags(write=False)
     scale.setflags(write=False)

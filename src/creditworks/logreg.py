@@ -17,6 +17,11 @@ EPS = 1e-12
 # not rise; 2**-40 of a step moves no weight of a sane fit.
 MAX_HALVINGS = 40
 
+# Rows per block of the Hessian's weighted copy of x, so that copy is one
+# block's, not the matrix's. Fits of at most this many rows have the bits of
+# one unblocked product.
+HESSIAN_ROWS = 4096
+
 
 def sigmoid(z):
     """Numerically stable logistic function, elementwise on arrays."""
@@ -280,12 +285,21 @@ def _fit_newton(x, y, config):
 
 def _hessian(x, p):
     """Hessian of the mean cross-entropy in (weights, bias), without the L2
-    term: [[XᵀDX, XᵀD1], [1ᵀDX, ΣD]] / n with D = p(1-p)."""
+    term: [[XᵀDX, XᵀD1], [1ᵀDX, ΣD]] / n with D = p(1-p). XᵀDX is summed
+    over blocks of HESSIAN_ROWS rows, in row order."""
     n, k = x.shape
     d = p * (1.0 - p)
-    root = x * np.sqrt(d)[:, None]
+    root_d = np.sqrt(d)[:, None]
+    # One buffer for every block, so no two blocks are alive at once.
+    buffer = np.empty((min(n, HESSIAN_ROWS), k))
     h = np.empty((k + 1, k + 1))
-    h[:k, :k] = root.T @ root
+    for start in range(0, n, HESSIAN_ROWS):
+        rows = x[start : start + HESSIAN_ROWS]
+        root = np.multiply(rows, root_d[start : start + HESSIAN_ROWS], out=buffer[: len(rows)])
+        if start == 0:
+            h[:k, :k] = root.T @ root
+        else:
+            h[:k, :k] += root.T @ root
     h[:k, k] = x.T @ d
     h[k, :k] = h[:k, k]
     h[k, k] = d.sum()

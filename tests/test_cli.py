@@ -94,6 +94,25 @@ def test_prepare_writes_loadable_matrices(workdir):
     assert scaler["columns"] == meta["columns"]
 
 
+def test_prepare_writes_np_save_bytes_and_the_scaler_of_the_train_half(workdir, monkeypatch):
+    # Blocks of 7 rows: both halves span several blocks and end in a part block.
+    monkeypatch.setattr(cli, "PREDICT_ROWS", 7)
+    assert run(workdir, "prepare") == 0
+    cfg, base = cli._read_config(str(workdir / "config.json"))
+    matrix = cli._load(cfg, base)[0]
+    prep = workdir / "out" / "prepared"
+    halves = cli._split_rows(cfg, matrix.n_rows)
+    for half, rows in halves.items():
+        assert rows.size % 7
+        for name, array in (("x", matrix.x), ("y", matrix.y)):
+            want = workdir / f"want_{name}_{half}.npy"
+            np.save(want, array[rows])
+            assert (prep / f"{name}_{half}.npy").read_bytes() == want.read_bytes(), (name, half)
+    rows = halves["train"]
+    scaler = features.fit_scaler(dataset.DesignMatrix(matrix.columns, matrix.x[rows], matrix.y[rows]))
+    assert read_json(prep / "scaler.json") == scaler.to_json_dict()
+
+
 def test_train_logreg_writes_model_and_log(workdir):
     assert run(workdir, "train") == 0
     model = read_json(workdir / "out" / "model.json")
@@ -270,12 +289,14 @@ def test_evaluate_without_model_file_is_data_error(workdir):
     assert run(workdir, "evaluate") == 2
 
 
-def test_score_labels_match_threshold(workdir):
+def test_score_labels_match_threshold(workdir, monkeypatch):
     assert run(workdir, "train") == 0
+    # Blocks of 7 rows, so that the rows are written across block edges.
+    monkeypatch.setattr(cli, "PREDICT_ROWS", 7)
     assert run(workdir, "score") == 0
     header, rows = read_csv(workdir / "out" / "scores.csv")
     assert header == ["id", "pd", "label"]
-    assert len(rows) == 120
+    assert [row[0] for row in rows] == [str(i) for i in range(120)]
     for _, pd_value, label in rows:
         assert label == ("1" if float(pd_value) >= 0.5 else "0")
 
@@ -870,6 +891,55 @@ def test_forest_train_in_a_subprocess_prints_each_line_once(tmp_path):
     assert done.stderr == ""
     out = tmp_path / "out"
     assert done.stdout.splitlines() == [f"wrote {out / 'model.json'}", f"wrote {out / 'training_log.json'}"]
+
+
+# Every name `creditworks` exported when it imported all of its submodules.
+EXPORTS = """
+    CdsQuote CdsTerms discount fair_spread price_for_loan
+    ColumnSpec DesignMatrix RawLoanTable SplitPair class_balance default_column_specs
+    drop_columns encode filter_terminal handle_missing load_csv split
+    CreditworksError DataError MissingExposureColumnError ModelDataMismatchError
+    TrainingError UsageError
+    EadResult ExposureColumns ExposureQuote RecoveryTable build_quote ead expected_loss lgd
+    parse_term_months record_ead recovery_rates
+    Scaler apply_scaler correlation_report fit_scaler pearson threshold_counts
+    CartParams CartTree Forest ForestConfig best_split entropy fit_cart fit_forest
+    forest_from_json_dict forest_to_json_dict gini
+    LogregConfig LogregModel bce_loss fit_logreg loss_and_gradient sigmoid
+    ClassificationReport ConfusionMatrix RocCurve confusion f1 f1_from_precision_recall
+    precision recall render_report report roc specificity
+""".split()
+
+
+def test_logistic_train_imports_only_the_modules_it_runs(workdir):
+    script = (
+        "import sys; from creditworks import cli; "
+        "code = cli.main(sys.argv[1:]); "
+        "print(*sorted(m for m in sys.modules if m.startswith('creditworks'))); "
+        "sys.exit(code)"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, "train", "--config", str(workdir / "config.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.splitlines()[-1].split())
+    assert "creditworks.logreg" in loaded
+    assert not loaded & {"creditworks.forest", "creditworks.metrics", "creditworks.cds"}
+
+
+def test_every_exported_name_still_imports():
+    import creditworks
+
+    assert sorted(creditworks.__all__) == sorted(EXPORTS)
+    star = {}
+    exec("from creditworks import *", star)
+    for name in EXPORTS:
+        assert star[name] is getattr(creditworks, name)
+        assert name in dir(creditworks)
+    with pytest.raises(AttributeError):
+        creditworks.no_such_name
 
 
 def test_failed_forest_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

@@ -131,6 +131,19 @@ def test_scaler_foreign_rows_not_centered():
     assert abs(out.x.mean()) > 1.0
 
 
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 10, 17])
+def test_blocked_scaler_has_the_bits_of_whole_matrix_mean_and_std(width):
+    # Columns of very different offsets and spreads, plus 0/1 dummies, over a
+    # row count that pairwise summation would split unevenly.
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(20_001, width)) * rng.uniform(0.1, 1e4, width) + rng.uniform(-1e6, 1e6, width)
+    x[:, ::3] = rng.random((20_001, len(range(0, width, 3)))) < 0.07
+    matrix = DesignMatrix(columns=tuple(map(str, range(width))), x=x, y=np.zeros(20_001, dtype=int))
+    scaler = fit_scaler(matrix)
+    assert scaler.mean.tobytes() == x.mean(axis=0).tobytes()
+    assert scaler.scale.tobytes() == x.std(axis=0).tobytes()
+
+
 def test_scaler_json_roundtrip():
     matrix = DesignMatrix(columns=("v",), x=np.array([[2.0], [4.0]]), y=np.array([0, 1]))
     scaler = fit_scaler(matrix)

@@ -12,7 +12,7 @@ from creditworks import (
     loss_and_gradient,
     sigmoid,
 )
-from creditworks import dataset, features
+from creditworks import dataset, features, logreg
 from creditworks.errors import DataError, TrainingError
 
 
@@ -330,6 +330,30 @@ def test_newton_halves_a_step_that_would_raise_the_loss():
     losses = [loss for _, loss in model.history]
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     assert losses[5] < four.final_loss
+
+
+@pytest.mark.parametrize("n", [1, 5, logreg.HESSIAN_ROWS - 1, logreg.HESSIAN_ROWS])
+def test_hessian_of_one_block_has_the_bits_of_the_unblocked_product(n):
+    rng = np.random.default_rng(n)
+    x = np.hstack([rng.normal(size=(n, 6)), rng.random((n, 20)) < 0.1])
+    p = rng.random(n)
+    h = logreg._hessian(x, p)
+    d = p * (1.0 - p)
+    root = x * np.sqrt(d)[:, None]
+    assert h[:-1, :-1].tobytes() == (root.T @ root / n).tobytes()
+    assert h[:-1, -1].tobytes() == h[-1, :-1].tobytes() == (x.T @ d / n).tobytes()
+    assert h[-1, -1] == d.sum() / n
+
+
+def test_blocked_hessian_over_several_blocks_matches_the_unblocked_one():
+    n = 3 * logreg.HESSIAN_ROWS + 123
+    rng = np.random.default_rng(4)
+    x = np.hstack([rng.normal(size=(n, 6)) * 40.0 + 5.0, rng.random((n, 20)) < 0.1])
+    p = rng.random(n)
+    root = np.hstack([x, np.ones((n, 1))]) * np.sqrt(p * (1.0 - p))[:, None]
+    h, want = logreg._hessian(x, p), root.T @ root / n
+    assert np.array_equal(h, h.T)
+    assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("l2", [0.0, 0.1])

@@ -1,15 +1,23 @@
-"""Peak memory of `train` and `price`, in multiples of the book's design matrix.
+"""Peak memory of CLI commands, in multiples of the book's design matrix.
 
 tracemalloc sees numpy's array buffers as well as Python objects, so the
 peak it records while a command runs is the command's own working set,
 whatever the process held before. Each bound sits between today's peak and
 the peak of the copy it guards against:
-- logistic `train`: encoding every row and copying the training rows out of
-  that matrix (1.67 against 2.17 matrices);
-- forest `train`: building the whole model text before writing it (1.53
+- logistic `train` (1.35 matrices): the scaler's standard deviation over
+  the whole matrix at once rather than by column blocks (1.63), the Newton
+  Hessian's weighted copy of the whole matrix rather than of a row block
+  (1.69), or the parsed table kept alive while encoding (1.84);
+- forest `train`: building the whole model text before writing it (1.54
   against 2.41 matrices for three unlimited-depth trees on random labels);
-- logistic `price`: scaling the whole matrix at once rather than one
-  prediction block at a time (1.86 against 2.35 matrices).
+- logistic `evaluate` (0.57): scaling the whole test half at once rather
+  than one prediction block at a time (0.78), or the parsed table kept
+  alive while encoding (0.99);
+- logistic `price` (1.51): scaling the whole matrix at once (3.29), or the
+  parsed table kept alive while encoding (1.75);
+- `prepare` (1.38): copying the training half out of the matrix (1.79),
+  the scaler's whole-matrix standard deviation (1.54), or the parsed table
+  kept alive while encoding (1.73);
 - forest `train` at the benchmark's shape (30 trees at depth 10, grown in
   lockstep): keeping every column's rank array while the rank codes are
   made (1.69 against 1.96 matrices).
@@ -62,19 +70,21 @@ def _traced_peak(argv) -> int:
 @pytest.mark.parametrize(
     "command, model, bound",
     [
-        ("train", {"kind": "logreg"}, 1.9),
+        ("train", {"kind": "logreg"}, 1.5),
         ("train", {"kind": "forest", "n_trees": 3, "max_depth": None}, 1.9),
-        ("price", {"kind": "logreg"}, 2.1),
+        ("price", {"kind": "logreg"}, 1.65),
         ("train", {"kind": "forest", "n_trees": 30, "max_depth": 10}, 1.8),
+        ("evaluate", {"kind": "logreg"}, 0.7),
+        ("prepare", {"kind": "logreg"}, 1.45),
     ],
 )
 def test_peak_memory_is_bounded_by_the_matrix(book, monkeypatch, command, model, bound):
     monkeypatch.setenv("CREDITWORKS_CANONICAL", "1")
     config = write_config(book / "config.json", model=model)
     cfg, base = cli._read_config(str(config))
-    matrix_bytes = cli._load(cfg, base)[2].x.nbytes
+    matrix_bytes = cli._load(cfg, base)[0].x.nbytes
     argv = ["--config", str(config), "--out", str(book / "out")]
-    if command != "train":
+    if command in ("evaluate", "price"):
         assert cli.main(["train", *argv]) == 0
     peak = _traced_peak([command, *argv])
     assert peak <= bound * matrix_bytes, f"{peak / matrix_bytes:.2f} matrices"

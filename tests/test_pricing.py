@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LOAN_HEADER, build_table, make_loan_rows, write_config, write_loans_csv
-from creditworks import cli
+from creditworks import cli, dataset
 from creditworks.cds import CdsTerms, fair_spread, fair_spreads
 from creditworks.dataset import STATUS_MAP
 from creditworks.errors import DataError
@@ -148,7 +148,9 @@ def _csv_bytes(rows):
 
 
 @pytest.mark.parametrize("book", ["conftest", "pricing"])
-def test_price_matches_per_loan_reference(tmp_path, book):
+def test_price_matches_per_loan_reference(tmp_path, monkeypatch, book):
+    # Blocks of 7 rows, so that predicting and writing both cross block edges.
+    monkeypatch.setattr(cli, "PREDICT_ROWS", 7)
     rows = make_loan_rows() if book == "conftest" else _pricing_book()
     write_loans_csv(tmp_path / "loans.csv", rows, header=LOAN_HEADER)
     write_config(tmp_path / "config.json")
@@ -157,8 +159,8 @@ def test_price_matches_per_loan_reference(tmp_path, book):
     assert cli.main(["price", "--config", config]) == 0
 
     cfg, base = cli._read_config(config)
-    _, table, matrix, _ = cli._load(cfg, base)
-    _, pd_scores, _ = cli._predictions(tmp_path / "out" / "model.json", matrix)
+    table = cli._cleaned(cfg, cli._terminal(cfg, base))
+    _, pd_scores, _ = cli._predictions(tmp_path / "out" / "model.json", dataset.encode(table)[0])
     want_rows, want_recovery = _ref_price(table, pd_scores, cli._exposure_columns(cfg), 0.03)
 
     out = tmp_path / "out"

@@ -71,7 +71,9 @@ def _python(code, *args, threads=None):
 
 
 PROBE = "import os, creditworks; print(os.environ['OPENBLAS_NUM_THREADS'])"
-TASKS = "import os, creditworks; print(len(os.listdir('/proc/self/task')))"
+# The package itself loads numpy only when a name is first used, so the
+# thread count is taken after importing a submodule that loads it.
+TASKS = "import os, creditworks.dataset; print(len(os.listdir('/proc/self/task')))"
 
 
 def test_import_sets_one_blas_thread():

@@ -64,13 +64,10 @@ _EXPORTS = {
         "CartTree",
         "Forest",
         "ForestConfig",
-        "best_split",
-        "entropy",
         "fit_cart",
         "fit_forest",
         "forest_from_json_dict",
         "forest_to_json_dict",
-        "gini",
     ),
     "logreg": (
         "LogregConfig",
@@ -85,14 +82,12 @@ _EXPORTS = {
         "ConfusionMatrix",
         "RocCurve",
         "confusion",
-        "f1",
         "f1_from_precision_recall",
         "precision",
         "recall",
         "render_report",
         "report",
         "roc",
-        "specificity",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -65,7 +65,7 @@ def _read_config(path: str) -> tuple[dict, Path]:
         raise UsageError(f"config {path} is not UTF-8: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of more digits than int() reads
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
@@ -74,10 +74,11 @@ def _read_config(path: str) -> tuple[dict, Path]:
 
 def _finite(value, what: str) -> float:
     """A config number as a float; UsageError naming what unless it is a
-    finite number (or a string float() reads as one) and no bool."""
+    finite number (or a string float() reads as one) and no bool. An
+    integer past the float range is no finite number."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(value, bool) or not math.isfinite(number):
         raise UsageError(f"{what} must be a finite number, got {value!r}")
@@ -226,7 +227,7 @@ def _load_model(path: Path):
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer of more digits than int() reads
         raise DataError(f"model {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"model {path} must hold a JSON object, not a {type(payload).__name__}")
@@ -447,7 +448,7 @@ def cmd_evaluate(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     if comparison_path.exists():
         try:
             comparison = json.loads(comparison_path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON, or an integer of more digits than int() reads
             raise DataError(f"{comparison_path} is not valid JSON: {exc}") from exc
         if not isinstance(comparison, dict):
             raise DataError(f"{comparison_path} must hold a JSON object")

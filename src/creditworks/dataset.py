@@ -91,7 +91,7 @@ def load_column_specs(path) -> tuple[ColumnSpec, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON, or an integer of more digits than int() reads
             raise SchemaError(f"column spec file {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise SchemaError(f"column spec file {path} must hold a JSON array")
@@ -167,7 +167,7 @@ class RawLoanTable:
     """Parsed loan table, one array per schema column, all of one length.
 
     A numeric column is float64 with NaN for a missing cell; a column of any
-    other kind is a Categorical. `rows` and `column()` derive Python cells
+    other kind is a Categorical. `rows` derives row tuples of Python cells
     (float, str, or None when missing) for callers that go row by row.
     """
 
@@ -213,9 +213,6 @@ class RawLoanTable:
 
     def spec_for(self, name: str) -> ColumnSpec:
         return self.schema[self.index_of(name)]
-
-    def column(self, name: str) -> list:
-        return _cells(self.columns[self.index_of(name)])
 
     def distinct(self, name: str) -> tuple[list, np.ndarray]:
         """A column as its distinct values (a Categorical's levels, or the
@@ -302,35 +299,31 @@ def _codes(cells: list, raw: dict, levels: dict) -> np.ndarray:
 
 
 def _open(source):
-    """(stream, whether it yields bytes, whether load_csv must close it)."""
-    if isinstance(source, io.TextIOBase):
-        return source, False, False
+    """(byte stream, whether load_csv must close it)."""
     if isinstance(source, (str, Path)):
-        return open(source, "rb"), True, True
+        return open(source, "rb"), True
     if isinstance(source, (bytes, bytearray)):
-        return io.BytesIO(source), True, True
+        return io.BytesIO(source), True
     if hasattr(source, "read"):
-        return source, True, False
+        return source, False
     raise TypeError(f"cannot read CSV from {type(source).__name__}")
 
 
 class _Lines:
-    """The lines of a CSV stream, one chunk of about CHUNK_BYTES at a time.
+    """The lines of a CSV byte stream, one chunk of about CHUNK_BYTES at a time.
 
-    A byte stream is cut after the last line end of each read and decoded
-    whole; a text stream hands over whole lines. `lines` holds the chunk's
-    lines and `pos` the index of the next one to read. Iterating yields that
-    line with its end, which is how csv.reader reads; `split_rest` reads the
-    rest of the chunk at once where it can.
+    Each read is cut after its last line end and decoded whole. `lines`
+    holds the chunk's lines and `pos` the index of the next one to read.
+    Iterating yields that line with its end, which is how csv.reader reads;
+    `split_rest` reads the rest of the chunk at once where it can.
 
     A chunk whose lines all end in LF, or all in CRLF, is split at that
-    end. Any other chunk with a CR keeps the stream's own lines with their
-    ends (the stream iterates CR, LF and CRLF as line ends, or what its
-    newline mode says), and only csv.reader reads it.
+    end. Any other chunk with a CR is cut at CR, LF and CRLF, each line
+    keeping its end, and only csv.reader reads it.
     """
 
     def __init__(self, source):
-        self._stream, self._binary, self._owned = _open(source)
+        self._stream, self._owned = _open(source)
         self._carry = b""  # bytes read past the last line end
         self._offset = 0  # stream offset of the chunk being read
         self._fault = None  # a UTF-8 error, raised once the lines before it are read
@@ -365,14 +358,11 @@ class _Lines:
             return line
         return line + self._end
 
-    def _chunk(self):
-        """(text, the stream's own lines or None) of the next chunk of whole
-        lines; None at the end of the stream."""
+    def _chunk(self) -> str | None:
+        """The text of the next chunk of whole lines; None at the end of the
+        stream."""
         if self._fault is not None:
             raise self._fault
-        if not self._binary:
-            lines = self._stream.readlines(CHUNK_BYTES)
-            return ("".join(lines), lines) if lines else None
         data = self._stream.read(CHUNK_BYTES)
         buf = self._carry + data
         while data and b"\n" not in data:  # a line longer than a chunk
@@ -393,16 +383,15 @@ class _Lines:
                 raise self._fault from None
             text = chunk.decode("utf-8")
         self._offset += len(chunk)
-        return text, None
+        return text
 
     def next_chunk(self) -> bool:
         """Move to the next chunk; False at the end of the stream."""
         self.before += len(self.lines)
         self.lines, self.pos = [], 0
-        got = self._chunk()
-        if got is None:
+        text = self._chunk()
+        if text is None:
             return False
-        text, own = got
         if "\r" not in text:
             self._end = "\n"
         elif text.count("\r") == text.count("\r\n") == text.count("\n"):
@@ -410,7 +399,7 @@ class _Lines:
         else:
             self._end = None
         if self._end is None:
-            self.lines = own or io.StringIO(text, newline="").readlines()
+            self.lines = io.StringIO(text, newline="").readlines()
         else:
             self.lines = text.split(self._end)
             self._open_end = self.lines[-1] != ""
@@ -527,6 +516,8 @@ class _Columns:
 def load_csv(source, specs, allow_extra: bool = False, skip_dropped: bool = False) -> RawLoanTable:
     """Parse an RFC-4180 UTF-8 CSV with a header row into a RawLoanTable.
 
+    source is a path, the CSV's bytes, or a binary stream, which is left open.
+
     The header must carry exactly the spec'd column names (any order). With
     allow_extra, header columns absent from the spec are skipped instead of
     raising: their field counts are checked, but they are not parsed and the
@@ -619,19 +610,11 @@ def filter_terminal(table: RawLoanTable, status_map=None) -> RawLoanTable:
     return table.take(keep)
 
 
-def drop_columns(table: RawLoanTable, names=None) -> RawLoanTable:
-    """Remove the named columns; default is every column with role 'drop'."""
-    if names is None:
-        names = [s.name for s in table.schema if s.role == "drop"]
-    names = list(names)
-    known = set(table.names)
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise SchemaError(f"cannot drop unknown columns: {unknown}")
-    doomed = set(names)
-    kept = [(s, c) for s, c in zip(table.schema, table.columns) if s.name not in doomed]
+def drop_columns(table: RawLoanTable) -> RawLoanTable:
+    """Remove every column with role 'drop'."""
+    kept = [(s, c) for s, c in zip(table.schema, table.columns) if s.role != "drop"]
     if not any(s.role == "feature" for s, _ in kept):
-        raise SchemaError("dropping these columns would leave no feature columns")
+        raise SchemaError("dropping the drop-role columns would leave no feature columns")
     schema, columns = zip(*kept)
     return RawLoanTable(schema=schema, columns=columns, status_map=table.status_map)
 

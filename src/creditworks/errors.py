@@ -62,13 +62,17 @@ _SETTING_KINDS = {int: "an integer", float: "a finite number", bool: "true or fa
 def check_setting(name: str, value, kind: type) -> None:
     """TrainingError unless value suits a model setting of type kind (int,
     float or bool). A float setting also takes an integer; a bool is never
-    taken as a number, though Python's bool is an int."""
+    taken as a number, though Python's bool is an int. An integer past the
+    float range is no finite number."""
     if kind is bool or isinstance(value, bool):
         ok = kind is bool and isinstance(value, bool)
     elif kind is int:
         ok = isinstance(value, numbers.Integral)
     else:
-        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        try:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:
+            ok = False
     if not ok:
         raise TrainingError(f"{name} must be {_SETTING_KINDS[kind]}, got {value!r}")
 

@@ -45,13 +45,13 @@ def pearson(x, y) -> PearsonResult:
     return PearsonResult(float(np.einsum("i,i->", dx, dy) / (sx * sy)), True)
 
 
-def correlation_report(matrix, target=None) -> tuple[tuple[str, float, bool], ...]:
-    """Correlation of every design-matrix column against the target.
+def correlation_report(matrix) -> tuple[tuple[str, float, bool], ...]:
+    """Correlation of every design-matrix column against its default labels.
 
     Returns (name, r, defined) triples sorted by r descending, ties broken
     by column name, so the strongest default signals list first.
     """
-    y = np.asarray(matrix.y if target is None else target, dtype=np.float64)
+    y = np.asarray(matrix.y, dtype=np.float64)
     rows = []
     for j, name in enumerate(matrix.columns):
         r, defined = pearson(matrix.x[:, j], y)

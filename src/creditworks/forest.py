@@ -41,25 +41,6 @@ def _impurity_from_counts(n0, n1, criterion):
     return -(t0 + t1)
 
 
-def _check_counts(n0, n1, what):
-    if n0 < 0 or n1 < 0 or int(n0) != n0 or int(n1) != n1:
-        raise DataError(f"{what} counts must be non-negative integers, got ({n0}, {n1})")
-    if n0 + n1 < 1:
-        raise DataError(f"{what} must hold at least one sample")
-
-
-def gini(n0: int, n1: int) -> float:
-    """Gini impurity 1 - p0^2 - p1^2 of a node with n0/n1 samples per class."""
-    _check_counts(n0, n1, "node")
-    return float(_impurity_from_counts(n0, n1, "gini"))
-
-
-def entropy(n0: int, n1: int) -> float:
-    """Shannon entropy -sum p_i log2 p_i in bits; 0*log(0) counts as 0."""
-    _check_counts(n0, n1, "node")
-    return float(_impurity_from_counts(n0, n1, "entropy"))
-
-
 class _Coded(NamedTuple):
     """A training matrix as rank codes, which one integer sort orders.
 
@@ -177,32 +158,6 @@ def _check_rows(rows, n: int) -> np.ndarray:
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise DataError(f"row index outside [0, {n})")
     return rows
-
-
-def best_split(x, y, rows=None, features=None, criterion: str = "gini"):
-    """Exhaustive search for the highest-gain (feature, threshold) cut.
-
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each candidate feature. Ties break toward the lowest feature
-    index, then the lowest threshold. Returns (feature, threshold, gain), or
-    None when every candidate feature is constant over the row subset. x
-    and y are checked as for fit_cart, and a row or feature index outside
-    x raises DataError.
-    """
-    if criterion not in CRITERIA:
-        raise TrainingError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
-    x, y = check_training_data(x, y)
-    rows = _check_rows(rows, x.shape[0])
-    feats = np.arange(x.shape[1]) if features is None else np.unique(np.asarray(features, dtype=np.intp))
-    if feats.size and (feats[0] < 0 or feats[-1] >= x.shape[1]):
-        raise DataError(f"feature index outside [0, {x.shape[1]})")
-    sub = x[rows[:, None], feats]
-    best, cut, _, gain = _search(
-        _coded(sub, y[rows]), np.arange(rows.size), np.array([rows.size]), np.arange(feats.size)[None], criterion
-    )
-    if best[0] < 0:
-        return None
-    return int(feats[best[0]]), float(cut[0]), max(0.0, float(gain[0]))
 
 
 @dataclass(frozen=True)
@@ -414,7 +369,7 @@ def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> Ca
 _STEP_CELLS = 1 << 14
 
 
-def _grow(coded: _Coded, params: CartParams, starts, cap: int = _STEP_CELLS, stop=None):
+def _grow(coded: _Coded, params: CartParams, starts, stop=None):
     """Grow one tree per (rng, rows) pair of starts, all in lockstep.
 
     Each tree keeps its own depth-first stack and numbers its nodes in the
@@ -470,11 +425,11 @@ def _grow(coded: _Coded, params: CartParams, starts, cap: int = _STEP_CELLS, sto
             while stacks[t] and stacks[t][-1][5]:
                 pop(t)
         # The largest next nodes first, so that none waits behind smaller
-        # ones; a node larger than the cap gets a step to itself.
+        # ones; a node of more than _STEP_CELLS cells gets a step to itself.
         batch, cells = [], 0
         for t in sorted((t for t in pending if stacks[t]), key=lambda t: stacks[t][-1][0] - stacks[t][-1][1]):
             lo, hi = stacks[t][-1][:2]
-            if not batch or cells + (hi - lo) * k <= cap:
+            if not batch or cells + (hi - lo) * k <= _STEP_CELLS:
                 batch.append(pop(t))
                 cells += (hi - lo) * k
         if batch:
@@ -482,7 +437,7 @@ def _grow(coded: _Coded, params: CartParams, starts, cap: int = _STEP_CELLS, sto
                 feats = np.sort([rngs[t].choice(n_cols, size=(k,), replace=False) for t, *_ in batch], axis=1)
             else:
                 feats = np.broadcast_to(np.arange(n_cols), (len(batch), n_cols))
-            for i, f, c, nl, l1 in _split(coded, perm, batch, feats, params.criterion, cap):
+            for i, f, c, nl, l1 in _split(coded, perm, batch, feats, params.criterion):
                 t, node, a, b, depth, n1 = batch[i]
                 grown[t][2].append((node, f, c))
                 depth += 1
@@ -492,7 +447,7 @@ def _grow(coded: _Coded, params: CartParams, starts, cap: int = _STEP_CELLS, sto
     return [_tree(params, n_cols, *arrays) for arrays in grown]
 
 
-def _split(coded: _Coded, perm, batch, feats, criterion, cap):
+def _split(coded: _Coded, perm, batch, feats, criterion):
     """Search the batch's nodes and split their ranges of perm in place.
 
     Yields (i, feature, threshold, left rows, left positives) for each node
@@ -503,10 +458,10 @@ def _split(coded: _Coded, perm, batch, feats, criterion, cap):
     size = np.array([b[3] for b in batch]) - lo
     start = np.cumsum(size) - size
     rows = perm[np.arange(start[-1] + size[-1]) + np.repeat(lo - start, size)]
-    # A batch over the cap is one node: search its features a few at a
-    # time, so the search holds about cap cells, or one feature's. A later
-    # group wins only with a greater gain, which keeps the tie-break.
-    step = max(1, cap // int(size.sum()))
+    # A batch over _STEP_CELLS is one node: search its features a few at a
+    # time, so the search holds about _STEP_CELLS cells, or one feature's. A
+    # later group wins only with a greater gain, which keeps the tie-break.
+    step = max(1, _STEP_CELLS // int(size.sum()))
     best = None
     for j in range(0, feats.shape[1], step):
         found = _search(coded, rows, size, feats[:, j : j + step], criterion)

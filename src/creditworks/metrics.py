@@ -71,19 +71,11 @@ def recall(cm: ConfusionMatrix) -> float:
     return _ratio(cm.tp, cm.tp + cm.fn)
 
 
-def specificity(cm: ConfusionMatrix) -> float:
-    return _ratio(cm.tn, cm.fp + cm.tn)
-
-
 def f1_from_precision_recall(p: float, r: float) -> float:
     """Harmonic mean 2PR/(P+R); 0.0 (undefined) when both inputs are zero."""
     if p < 0 or r < 0:
         raise DataError("precision and recall must be >= 0")
     return 2.0 * p * r / (p + r) if p + r else 0.0
-
-
-def f1(cm: ConfusionMatrix) -> float:
-    return f1_from_precision_recall(precision(cm), recall(cm))
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

@@ -490,6 +490,62 @@ def test_non_numeric_config_value_is_usage_error(workdir, capsys, command, overr
 
 
 @pytest.mark.parametrize(
+    "overrides, key",
+    [
+        pytest.param({"test_fraction": 10**400}, "'test_fraction'", id="test-fraction"),
+        pytest.param({"risk_free_rate": -(10**400)}, "'risk_free_rate'", id="risk-free-rate"),
+        pytest.param({"thresholds": [{"column": "dti", "op": ">", "value": 10**400}]}, "threshold value",
+                     id="threshold-value"),
+        pytest.param({"model": {"kind": "logreg", "l2": 10**400}}, "l2", id="l2"),
+    ],
+)
+def test_config_integer_past_the_float_range_is_usage_error(workdir, capsys, overrides, key):
+    # 401 digits: float() of it overflows instead of giving inf.
+    write_config(workdir / "config.json", **overrides)
+    assert run(workdir, "train") == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert key in err and "finite number" in err, err
+    assert not (workdir / "out").exists()
+
+
+def _with_long_integer(path, old):
+    """Rewrite a JSON file with a 5,000-digit integer in place of the text old:
+    more digits than Python's int() reads by default, so json.loads raises a
+    plain ValueError, not a JSONDecodeError."""
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, text
+    path.write_text(text.replace(old, "1" * 5000), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, rewrite, code, fragment",
+    [
+        pytest.param("train", lambda w: _with_long_integer(w / "config.json", "11"), 64, "config",
+                     id="config"),
+        pytest.param("train", lambda w: (w / "columns.json").write_text('[{"name": ' + "1" * 5000 + "}]"),
+                     2, "column spec", id="column-spec"),
+        pytest.param("score", lambda w: _with_long_integer(w / "out" / "model.json", '"logreg"'), 2,
+                     "model", id="model"),
+        pytest.param("evaluate", lambda w: (w / "out" / "comparison.json").write_text("[" + "1" * 5000 + "]"),
+                     2, "comparison.json", id="comparison"),
+    ],
+)
+def test_json_integer_of_too_many_digits_exits_with_one_line(workdir, capsys, command, rewrite, code, fragment):
+    if command != "train":
+        assert run(workdir, "train") == 0
+    else:
+        write_config(workdir / "config.json", column_spec="columns.json")
+        (workdir / "columns.json").write_text(json.dumps([{"name": "x", "kind": "numeric"}]))
+    rewrite(workdir)
+    capsys.readouterr()
+    assert run(workdir, command) == code
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert fragment in err and "Exceeds the limit" in err, err
+
+
+@pytest.mark.parametrize(
     "command, overrides, key",
     [
         pytest.param("explore", {"thresholds": 5}, "'thresholds'", id="thresholds-number"),
@@ -903,11 +959,11 @@ EXPORTS = """
     EadResult ExposureColumns ExposureQuote RecoveryTable build_quote ead expected_loss lgd
     parse_term_months record_ead recovery_rates
     Scaler apply_scaler correlation_report fit_scaler pearson threshold_counts
-    CartParams CartTree Forest ForestConfig best_split entropy fit_cart fit_forest
-    forest_from_json_dict forest_to_json_dict gini
+    CartParams CartTree Forest ForestConfig fit_cart fit_forest
+    forest_from_json_dict forest_to_json_dict
     LogregConfig LogregModel bce_loss fit_logreg loss_and_gradient sigmoid
-    ClassificationReport ConfusionMatrix RocCurve confusion f1 f1_from_precision_recall
-    precision recall render_report report roc specificity
+    ClassificationReport ConfusionMatrix RocCurve confusion f1_from_precision_recall
+    precision recall render_report report roc
 """.split()
 
 

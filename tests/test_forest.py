@@ -20,65 +20,70 @@ from creditworks import (
     CartTree,
     Forest,
     ForestConfig,
-    best_split,
-    entropy,
     fit_cart,
     fit_forest,
     fit_logreg,
     forest_from_json_dict,
     forest_to_json_dict,
-    gini,
 )
 from creditworks import forest
 from creditworks.errors import DataError, TrainingError
 from creditworks.forest import CRITERIA, TREE_ARRAYS
 
 
+def _impurity(criterion):
+    """The impurity the split search uses, as a float of two class counts."""
+    return lambda n0, n1: float(forest._impurity_from_counts(n0, n1, criterion))
+
+
 def test_gini_hand_values():
+    gini = _impurity("gini")
     assert gini(5, 0) == 0.0
     assert gini(3, 3) == 0.5
     assert gini(1, 3) == 0.375
 
 
 def test_entropy_hand_values():
+    entropy = _impurity("entropy")
     assert entropy(4, 0) == 0.0
     assert entropy(2, 2) == 1.0
     assert entropy(1, 3) == pytest.approx(0.8112781244591328, abs=1e-16)
 
 
 def test_impurity_properties():
-    for imp in (gini, entropy):
+    for imp in map(_impurity, CRITERIA):
         assert imp(0, 7) == 0.0
         assert imp(7, 0) == 0.0
         for a, b in [(1, 5), (2, 9), (4, 4)]:
             half = imp((a + b) // 2 + (a + b) % 2, (a + b) // 2)
             assert imp(a, b) <= imp(a + b - (a + b) // 2, (a + b) // 2) + 1e-15
             assert 0.0 <= imp(a, b) <= half + 1e-15
-    with pytest.raises(DataError):
-        gini(0, 0)
-    with pytest.raises(DataError):
-        entropy(-1, 2)
+
+
+def _root_split(x, y, criterion="gini"):
+    """(feature, threshold) of the root of a fit_cart stump, None for a leaf."""
+    tree = fit_cart(x, y, CartParams(criterion=criterion, max_depth=1))
+    if tree.feature[0] < 0:
+        return None
+    return int(tree.feature[0]), float(tree.threshold[0])
 
 
 def test_best_split_hand_fixture():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
-    feature, threshold, gain = best_split(x, y, criterion="gini")
-    assert (feature, threshold, gain) == (0, 2.5, 0.5)
+    assert _root_split(x, y) == (0, 2.5)
 
 
 def test_best_split_constant_features_give_none():
     x = np.full((6, 2), 3.0)
     y = np.array([0, 1, 0, 1, 0, 1])
-    assert best_split(x, y) is None
+    assert _root_split(x, y) is None
 
 
 def test_best_split_tie_prefers_lowest_feature():
     x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
     y = np.array([0, 0, 1, 1])
-    feature, threshold, _ = best_split(x, y)
-    assert feature == 0
-    assert threshold == 2.5
+    assert _root_split(x, y) == (0, 2.5)
 
 
 def test_best_split_tie_prefers_lowest_threshold():
@@ -86,14 +91,15 @@ def test_best_split_tie_prefers_lowest_threshold():
     # equal gain: below the 1 and above it.
     x = np.array([[1.0], [2.0], [3.0]])
     y = np.array([0, 1, 0])
-    feature, threshold, gain = best_split(x, y)
-    assert feature == 0
-    assert threshold == 1.5
-    assert gain > 0
+    assert _root_split(x, y) == (0, 1.5)
 
 
 def _oracle_best_split(x, y, criterion):
-    # Same arithmetic expression shape as the library, scalar math only.
+    """Brute force over every midpoint cut, without a sort of the rows:
+    (feature, threshold) of the highest gain, ties to the lowest feature,
+    then the lowest threshold; None without a cut. The impurity has the
+    library's arithmetic expression shape, in scalar math."""
+
     def imp(labels):
         n = len(labels)
         c1 = int(sum(labels))
@@ -118,14 +124,12 @@ def _oracle_best_split(x, y, criterion):
             g = parent - (nl / n) * imp(left) - (nr / n) * imp(right)
             if best is None or g > best[2]:
                 best = (j, t, g)
-    if best is None:
-        return None
-    return best[0], best[1], max(0.0, best[2])
-
+    return None if best is None else best[:2]
 
 
 def _reference_cart(x, y, params, rng=None, rows=None):
-    """The recursive CART build fit_cart replaced, on top of best_split.
+    """The recursive CART build fit_cart replaced, on top of the brute-force
+    _oracle_best_split of each node's rows and drawn features.
 
     Returns the tree as preorder lists in CartTree's layout, so fit_cart's
     iterative build can be compared with it array by array.
@@ -148,12 +152,14 @@ def _reference_cart(x, y, params, rng=None, rows=None):
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
             return node
-        feats = np.sort(rng.choice(n_cols, size=k, replace=False)) if k < n_cols else None
-        found = best_split(x, y, subset, feats, params.criterion)
+        feats = np.sort(rng.choice(n_cols, size=k, replace=False)) if k < n_cols else np.arange(n_cols)
+        found = _oracle_best_split(x[np.ix_(subset, feats)], y[subset], params.criterion)
         if found is None:
             return node
-        feature, threshold, _ = found
+        feature, threshold = int(feats[found[0]]), found[1]
         mask = x[subset, feature] <= threshold
+        if mask.all():
+            return node  # the midpoint rounded onto the upper value: no cut
         arrays["feature"][node] = feature
         arrays["threshold"][node] = threshold
         arrays["left"][node] = build(subset[mask], depth + 1)
@@ -197,31 +203,20 @@ def test_best_split_agrees_with_brute_force():
         x = rng.integers(0, 4 if trial % 3 else 12, size=(n, d)).astype(float)
         y = rng.integers(0, 2, size=n).astype(np.int64)
         criterion = "gini" if trial % 2 == 0 else "entropy"
-        got = best_split(x, y, criterion=criterion)
         want = _oracle_best_split(x, y, criterion)
-        if want is None:
-            assert got is None
-            continue
-        assert got is not None
-        assert got[0] == want[0]
-        assert got[1] == want[1]
-        assert got[2] == pytest.approx(want[2], abs=1e-12)
+        # A pure root is a leaf, whatever cut it has.
+        assert _root_split(x, y, criterion) == (None if y.min() == y.max() else want)
 
 
 @pytest.mark.parametrize(
-    "rows, features",
-    [
-        pytest.param(None, [-1], id="feature-minus-1"),
-        pytest.param(None, [0, 5], id="feature-past-last"),
-        pytest.param([-1, 0, 1], None, id="row-minus-1"),
-        pytest.param([0, 1, 4], None, id="row-past-last"),
-    ],
+    "rows",
+    [pytest.param([-1, 0, 1], id="row-minus-1"), pytest.param([0, 1, 4], id="row-past-last")],
 )
-def test_best_split_rejects_indices_outside_the_matrix(rows, features):
+def test_best_split_rejects_indices_outside_the_matrix(rows):
     x = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
     y = np.array([0, 0, 1, 1])
     with pytest.raises(DataError, match="index outside"):
-        best_split(x, y, rows=rows, features=features)
+        fit_cart(x, y, rows=rows)
 
 
 @pytest.mark.parametrize("rows", [[-1, 0, 1], [0, 1, 4]], ids=["minus-1", "past-last"])
@@ -366,7 +361,8 @@ def test_fit_forest_matches_recursive_reference(criterion):
     min_samples_split=st.integers(2, 9),
     feature_subsample=st.sampled_from([None, 2, "auto"]),
     bootstrap=st.booleans(),
-    # From one node per step (every node has more cells) to the whole batch.
+    # _STEP_CELLS from one node per step (every node has more cells) to the
+    # whole batch.
     cap=st.sampled_from([1, 40, 400, 2**62]),
 )
 def test_lockstep_grower_equals_reference_cart(
@@ -381,7 +377,8 @@ def test_lockstep_grower_equals_reference_cart(
         rng = np.random.default_rng((seed, t))
         return rng, rng.integers(0, n, size=n) if bootstrap else np.arange(n)
 
-    trees = forest._grow(forest._coded(x, y), params, map(start, range(n_trees)), cap=cap)
+    with mock.patch.object(forest, "_STEP_CELLS", cap):
+        trees = forest._grow(forest._coded(x, y), params, map(start, range(n_trees)))
     assert len(trees) == n_trees
     for t, tree in enumerate(trees):
         want = _reference_cart(x, y, params, *start(t))
@@ -577,8 +574,8 @@ def test_forest_config_validation():
     ],
 )
 def test_bad_training_input_raises_before_any_fork(monkeypatch, x, y, error, fragment):
-    # Both model fits and best_split share one check.
-    for fit in (fit_cart, best_split, fit_logreg):
+    # Both model fits share one check.
+    for fit in (fit_cart, fit_logreg):
         with pytest.raises(error, match=fragment):
             fit(x, y)
     monkeypatch.setattr(forest, "_workers", lambda x, params: 2)

@@ -3,7 +3,6 @@ import pytest
 
 from creditworks import (
     confusion,
-    f1,
     f1_from_precision_recall,
     precision,
     recall,
@@ -12,7 +11,12 @@ from creditworks import (
     roc,
 )
 from creditworks.errors import DataError
-from creditworks.metrics import ClassScores, accuracy, specificity
+from creditworks.metrics import ClassScores, accuracy
+
+
+def _specificity(y_true, y_pred):
+    """Class 0's recall in the report: the share of class-0 rows predicted 0."""
+    return report(y_true, y_pred).class0.recall
 
 
 def test_confusion_minimal():
@@ -72,21 +76,19 @@ def test_precision_recall_values_and_flags():
     empty_pred = confusion([1, 1, 1, 1, 1, 0], [0, 0, 0, 0, 0, 0])
     assert precision(empty_pred) == 0.0
     assert recall(empty_pred) == 0.0
-    assert type(precision(empty_pred)) is float and type(f1(empty_pred)) is float
     scores = ClassScores.of(empty_pred)
+    assert type(precision(empty_pred)) is float and type(scores.f1) is float
     assert "precision" in scores.degenerate
     assert "recall" not in scores.degenerate
 
 
 def test_specificity_values():
-    assert specificity(confusion([0, 0, 1], [0, 0, 1])) == 1.0
-    assert specificity(confusion([0, 0, 1], [1, 1, 1])) == 0.0
-    cm = confusion([0, 0, 0, 0, 1], [0, 0, 0, 1, 1])
-    assert specificity(cm) == 0.75
-    all_pos = confusion([1, 1], [1, 0])
-    assert specificity(all_pos) == 0.0
-    # Specificity is class 0's recall: no class-0 rows makes it undefined.
-    assert "recall" in ClassScores.of(all_pos.swapped()).degenerate
+    assert _specificity([0, 0, 1], [0, 0, 1]) == 1.0
+    assert _specificity([0, 0, 1], [1, 1, 1]) == 0.0
+    assert _specificity([0, 0, 0, 0, 1], [0, 0, 0, 1, 1]) == 0.75
+    assert _specificity([1, 1], [1, 0]) == 0.0
+    # No class-0 rows makes it undefined.
+    assert "recall" in report([1, 1], [1, 0]).class0.degenerate
 
 
 def test_f1_from_precision_recall_hand_value():
@@ -117,10 +119,14 @@ def test_f1_properties():
 
 
 def test_f1_from_confusion_matches_definition():
-    cm = confusion([1, 1, 1, 0, 0], [1, 1, 0, 1, 0])
-    assert f1(cm) == pytest.approx(
-        f1_from_precision_recall(float(precision(cm)), float(recall(cm))), abs=1e-15
-    )
+    y_true, y_pred = [1, 1, 1, 0, 0], [1, 1, 0, 1, 0]
+    rep = report(y_true, y_pred)
+    for scores, cm in ((rep.class1, confusion(y_true, y_pred)), (rep.class0, rep.confusion.swapped())):
+        assert scores.f1 == pytest.approx(
+            f1_from_precision_recall(float(precision(cm)), float(recall(cm))), abs=1e-15
+        )
+    # p = 2/3 and r = 2/3 for class 1, so f1 = 2/3; class 0 has p = r = 1/2.
+    assert (rep.class1.f1, rep.class0.f1) == pytest.approx((2 / 3, 1 / 2), abs=1e-15)
 
 
 def test_accuracy_simple():

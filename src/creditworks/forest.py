@@ -26,49 +26,57 @@ from .errors import DataError, TrainingError, check_setting, check_training_data
 CRITERIA = ("gini", "entropy")
 
 
-def _impurity_from_counts(n0, n1, criterion):
-    """Impurity of nodes given per-class counts; vectorized over arrays."""
-    n0 = np.asarray(n0, dtype=np.float64)
-    n1 = np.asarray(n1, dtype=np.float64)
-    n = n0 + n1
-    p0 = n0 / n
+def _impurity(n, n1, criterion):
+    """Impurity of nodes of n samples, n1 of them positive; vectorized over
+    arrays of floats."""
+    p0 = n - n1
+    p0 /= n
     p1 = n1 / n
     if criterion == "gini":
-        return 1.0 - p0 * p0 - p1 * p1
+        p0 *= p0
+        p1 *= p1
+        return 1.0 - p0 - p1
     # 0*log2(0) = 0: feed log2 a 1 wherever p is 0, the product zeroes it out.
     t0 = p0 * np.log2(np.where(p0 > 0.0, p0, 1.0))
     t1 = p1 * np.log2(np.where(p1 > 0.0, p1, 1.0))
     return -(t0 + t1)
 
 
+def _impurity_from_counts(n0, n1, criterion):
+    """Impurity of nodes given per-class counts; vectorized over arrays."""
+    n0 = np.asarray(n0, dtype=np.float64)
+    n1 = np.asarray(n1, dtype=np.float64)
+    return _impurity(n0 + n1, n1, criterion)
+
+
 class _Coded(NamedTuple):
     """A training matrix as rank codes, which one integer sort orders.
 
-    code[f, i] is 2 * r + y[i], where r ranks x[i, f] among feature f's
-    distinct values (0 for the smallest), so one code carries a value's
-    order and the row's label. The distinct values themselves are
-    values[offset[f] + r]. span exceeds every code.
+    code[f, i] is 2 * r + y[i], where r ranks x[i, f] among the distinct
+    values of every feature, feature after feature: values[r] is x[i, f],
+    and the ranks of one feature lie above those of the features before it.
+    So one code carries a value's order and feature and the row's label.
+    span exceeds every code.
     """
 
     code: np.ndarray
     values: np.ndarray
-    offset: np.ndarray
     span: int
     y: np.ndarray
 
 
 def _coded(x, y) -> _Coded:
     n, n_cols = x.shape
-    # Ranks are below n, so int32 codes hold any matrix of under 2**30 rows.
-    code = np.empty((n_cols, n), dtype=np.int32 if n < 2**30 else np.int64)
-    levels = []
+    # Ranks are below n * n_cols, so int32 codes hold any matrix of under 2**30 cells.
+    code = np.empty((n_cols, n), dtype=np.int32 if n * n_cols < 2**30 else np.int64)
+    levels, base = [], 0
     for f in range(n_cols):
         values, rank = np.unique(x[:, f], return_inverse=True)
+        rank += base
         np.add(2 * rank, y, out=code[f], casting="unsafe")
         levels.append(values)
-    offset = np.cumsum([0] + [values.size for values in levels[:-1]], dtype=np.intp)
-    span = 2 * max((values.size for values in levels), default=1)
-    return _Coded(code, np.concatenate(levels) if levels else np.zeros(0), offset, span, y)
+        base += values.size
+    return _Coded(code, np.concatenate(levels) if levels else np.zeros(0), 2 * base, y)
 
 
 def _search(coded: _Coded, rows, sizes, feats, criterion):
@@ -76,78 +84,98 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
 
     The batch's nodes hold sizes[i] rows each, listed in node order in rows,
     and node i's candidate features are feats[i], in ascending order. Each
-    (node, feature) pair is a segment of one key array, and one sort orders
-    every segment by value. A cut between sorted positions p and p + 1 of a
-    segment is a candidate where the two values differ, at their midpoint;
-    the class counts on either side of it do not depend on how equal values
-    are ordered. Within a node, ties break toward the lowest feature row,
-    then the lowest threshold.
+    (node, feature) pair is a segment of one key array, node i's codes
+    raised by i * span, and one sort orders every segment by value. A cut
+    between sorted positions p and p + 1 of a segment is a candidate where
+    the two values differ, at their midpoint; the class counts on either
+    side of it do not depend on how equal values are ordered. Within a
+    node, ties break toward the lowest feature row, then the lowest
+    threshold.
 
-    Returns per node (row, cut, bound, gain): the winning row of feats[i], or
-    -1 without a candidate; the threshold; the highest rank that goes left
+    Returns, over the nodes i with a candidate, in order: i; the winning
+    row of feats[i]; the threshold; the highest rank that goes left
     (x <= threshold), which is the upper value's when the midpoint rounds
-    onto it; and the gain.
+    onto it; the gain; and the rows and positives that go left.
     """
     m, k = feats.shape
-    seg_len = np.repeat(sizes, k)
-    seg_end = np.cumsum(seg_len)
-    best = np.full(m, -1)
-    cut, bound, gain = np.zeros(m), np.zeros(m, dtype=np.intp), np.zeros(m)
-    cells = int(seg_end[-1]) if seg_end.size else 0
-    if cells < 2:
-        return best, cut, bound, gain
-    seg_start = seg_end - seg_len
-    node_start = np.cumsum(sizes) - sizes
-    # Cell c of a segment is its node's row number c - seg_start, as a
-    # position in the feature-major code table.
-    at = np.arange(cells) - np.repeat(seg_start - np.repeat(node_start, k), seg_len)
-    n = coded.code.shape[1]
-    dtype = np.int32 if m * k * coded.span <= 2**31 else np.int64
-    key = coded.code.ravel()[rows[at] + np.repeat(feats.ravel() * n, seg_len)].astype(dtype, copy=False)
+    span = coded.span
+    if rows.size * k < 2:
+        return (np.zeros(0, dtype=np.intp),) * 7
+    # numpy's array methods and ufuncs, not its module functions: a step's
+    # search makes about a hundred calls on arrays that are often tiny. take
+    # and compress gather faster than fancy and boolean indexing.
+    at = (feats.T * coded.code.shape[1]).repeat(sizes, axis=1)
+    at += rows
+    key = coded.code.ravel().take(at)
     del at
-    seg_base = np.arange(m * k, dtype=dtype) * coded.span
-    key += np.repeat(seg_base, seg_len)
+    if key.dtype == np.int32 and m * span > 2**31:
+        key = key.astype(np.int64)
+    key += np.arange(0, m * span, span, dtype=key.dtype).repeat(sizes)
+    key = key.ravel()
     key.sort()
-    labels = key & 1
+    cum = (key & 1).cumsum(dtype=key.dtype)
     key >>= 1
+    seg_end = sizes.repeat(k).cumsum()
     step_up = key[:-1] < key[1:]
     step_up[seg_end[:-1] - 1] = False
-    cand = np.flatnonzero(step_up)
-    if cand.size == 0:
-        return best, cut, bound, gain
-    cum = np.cumsum(labels)
-    below = cum[seg_start] - labels[seg_start]
-    seg = np.searchsorted(seg_end, cand, side="right")
-    node = seg // k
-    n_all = sizes.astype(np.float64)
-    n1_all = (cum[seg_end[::k] - 1] - below[::k]).astype(np.float64)
-    nn = n_all[node]
-    nl = (cand - seg_start[seg] + 1).astype(np.float64)
-    nl1 = (cum[cand] - below[seg]).astype(np.float64)
-    nl0 = nl - nl1
-    nr = nn - nl
-    nr1 = n1_all[node] - nl1
-    nr0 = nr - nr1
-    gains = (
-        _impurity_from_counts(n_all - n1_all, n1_all, criterion)[node]
-        - (nl / nn) * _impurity_from_counts(nl0, nl1, criterion)
-        - (nr / nn) * _impurity_from_counts(nr0, nr1, criterion)
-    )
-    # Candidates run in (node, feature row, position) order, so each node's
-    # first maximum is the tie-break winner.
-    group = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
-    top = np.maximum.reduceat(gains, group)
-    hits = np.flatnonzero(gains == np.repeat(top, np.diff(np.append(group, cand.size))))
-    win = hits[np.concatenate(([True], node[hits[1:]] != node[hits[:-1]]))]
-    won, p, seg = node[win], cand[win], seg[win]
-    best[won] = seg % k
-    base = coded.offset[feats[won, best[won]]]
-    lo_rank, hi_rank = key[p] - seg_base[seg] // 2, key[p + 1] - seg_base[seg] // 2
-    hi = coded.values[base + hi_rank]
-    cut[won] = (coded.values[base + lo_rank] + hi) / 2.0
-    bound[won] = np.where(cut[won] == hi, hi_rank, lo_rank)
-    gain[won] = gains[win]
-    return best, cut, bound, gain
+    cand = step_up.nonzero()[0]
+    del step_up
+    # Segment s starts at sorted position start[s] and holds the candidates
+    # cand[first[s] : first[s] + count[s]]. Per segment, table holds the
+    # position before its start, the positives before it, and its node's
+    # rows and positives.
+    start = seg_end - sizes.repeat(k)
+    first = cand.searchsorted(start)
+    count = cand.searchsorted(seg_end - 1) - first
+    seg = np.arange(m * k).repeat(count)
+    table = np.empty((4, m, k), dtype=cum.dtype)
+    table[0].flat = start - 1
+    table[1].flat = cum[start - 1]
+    table[1, 0, 0] = 0
+    table[2] = sizes[:, None]
+    table[3] = (cum[seg_end[::k] - 1] - table[1, :, 0])[:, None]
+    # Samples and positives: the left and right side of each candidate,
+    # then each node.
+    c = cand.size
+    of = table.reshape(4, m * k).take(seg, axis=1)
+    n, n1 = np.empty(2 * c + m), np.empty(2 * c + m)
+    np.subtract(cand, of[0], out=n[:c])
+    np.subtract(cum.take(cand), of[1], out=n1[:c])
+    np.subtract(of[2], n[:c], out=n[c : 2 * c])
+    np.subtract(of[3], n1[:c], out=n1[c : 2 * c])
+    n[2 * c :], n1[2 * c :] = table[2, :, 0], table[3, :, 0]
+    impurity = _impurity(n, n1, criterion)
+    weighted = n[: 2 * c].reshape(2, c) / of[2]
+    weighted *= impurity[: 2 * c].reshape(2, c)
+    gains = impurity[2 * c :].repeat(k).take(seg)
+    gains -= weighted[0]
+    gains -= weighted[1]
+    del n, n1, of, weighted
+    # Each node's first maximum over its segments in feature order, then
+    # the first candidate of the winning segment that reaches it.
+    top = np.empty(m * k)
+    top.fill(-np.inf)
+    some = count.nonzero()[0]
+    top[some] = np.maximum.reduceat(gains, first[some])
+    by_node = top.reshape(m, k)
+    node_top = np.maximum.reduce(by_node, axis=1)
+    won = (node_top > -np.inf).nonzero()[0]
+    s = won * k + (by_node[won] == node_top[won, None]).argmax(axis=1)
+    hits = (gains == top.take(seg)).nonzero()[0]
+    hit = hits[seg[hits].searchsorted(s)]
+    p = cand[hit]
+    base = won * (span // 2)
+    bound, hi_rank = key[p] - base, key[p + 1] - base
+    hi = coded.values[hi_rank]
+    cut = (coded.values[bound] + hi) / 2.0
+    rounded = cut == hi
+    if rounded.any():
+        # The upper value goes left too, and so do the rows up to the
+        # segment's next candidate, or its end.
+        after = np.minimum(hit + 1, c - 1)
+        end = np.where((hit + 1 < c) & (seg[after] == s), cand[after], seg_end[s] - 1)
+        p, bound = np.where(rounded, end, p), np.where(rounded, hi_rank, bound)
+    return won, s - won * k, cut, bound, gains[hit], p - table[0].flat[s], cum[p] - table[1].flat[s]
 
 
 def _check_rows(rows, n: int) -> np.ndarray:
@@ -372,12 +400,13 @@ _STEP_CELLS = 1 << 14
 def _grow(coded: _Coded, params: CartParams, starts, stop=None):
     """Grow one tree per (rng, rows) pair of starts, all in lockstep.
 
-    Each tree keeps its own depth-first stack and numbers its nodes in the
-    order it pops them. A step pops, from every tree with nodes left, the
-    leaves on top of its stack and then one node to split, and one _search
-    covers the popped nodes of all trees. So each tree still draws its
-    feature subsets in its own preorder, and the trees equal those grown one
-    at a time. A node's rows are a range of one array holding every tree's
+    Each tree keeps a depth-first stack of the nodes it has still to search:
+    a leaf is recorded when it is made and never stacked. A step pops one
+    node from each of the trees with the largest next nodes, and one
+    _search covers them all. So each tree still draws its feature subsets
+    in its own preorder, and the trees equal those grown one at a time.
+    Nodes are numbered as they are made, and _tree renumbers them in
+    preorder. A node's rows are a range of one array holding every tree's
     rows; a split reorders its range, left rows first. stop, if given, is
     called before each step, and the grower returns None once it says true.
     """
@@ -388,16 +417,16 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
     def leaf(n, n1, depth):
         return n1 == 0 or n1 == n or n < params.min_samples_split or depth >= max_depth or n_cols == 0
 
-    # Per tree: a stack of (first, end, depth, node whose right child this
-    # is or -1, positives, leaf) and the count0, count1, splits and right
-    # links of its nodes so far. Each tree's rows are kept as int32 as soon
-    # as they are drawn.
-    rngs, parts, stacks, first = [], [], [], 0
+    # Per tree: a stack of (node, first, end, depth, positives) and the
+    # count0, count1 and splits of its nodes so far. Each tree's rows are
+    # kept as int32 as soon as they are drawn.
+    rngs, parts, stacks, grown, first = [], [], [], [], 0
     for rng, rows in starts:
         if rows.size == 0:
             raise TrainingError("cannot fit on an empty row subset")
         n1 = int(coded.y[rows].sum())
-        stacks.append([(first, first + rows.size, 0, -1, n1, leaf(rows.size, n1, 0))])
+        stacks.append([] if leaf(rows.size, n1, 0) else [(0, first, first + rows.size, 0, n1)])
+        grown.append(([rows.size - n1], [n1], []))
         first += rows.size
         rngs.append(rng)
         parts.append(rows.astype(np.int32 if coded.y.size < 2**31 else np.intp))
@@ -405,112 +434,115 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
         raise TrainingError("feature subsampling requires an rng")
     perm = np.concatenate(parts)
     del parts
-    grown = [([], [], [], []) for _ in stacks]
 
-    def pop(t):
-        """Number tree t's next node and record its class counts."""
-        lo, hi, depth, right_of, n1, _ = stacks[t].pop()
-        count0, count1, _, rights = grown[t]
-        if right_of >= 0:
-            rights.append((right_of, len(count0)))
-        count0.append(hi - lo - n1)
-        count1.append(n1)
-        return t, len(count0) - 1, lo, hi, depth, n1
-
-    pending = list(range(len(stacks)))
+    pending = [t for t, stack in enumerate(stacks) if stack]
     while pending:
         if stop is not None and stop():
             return None
-        for t in pending:
-            while stacks[t] and stacks[t][-1][5]:
-                pop(t)
         # The largest next nodes first, so that none waits behind smaller
         # ones; a node of more than _STEP_CELLS cells gets a step to itself.
-        batch, cells = [], 0
-        for t in sorted((t for t in pending if stacks[t]), key=lambda t: stacks[t][-1][0] - stacks[t][-1][1]):
-            lo, hi = stacks[t][-1][:2]
-            if not batch or cells + (hi - lo) * k <= _STEP_CELLS:
-                batch.append(pop(t))
-                cells += (hi - lo) * k
-        if batch:
-            if k < n_cols:
-                feats = np.sort([rngs[t].choice(n_cols, size=(k,), replace=False) for t, *_ in batch], axis=1)
-            else:
-                feats = np.broadcast_to(np.arange(n_cols), (len(batch), n_cols))
-            for i, f, c, nl, l1 in _split(coded, perm, batch, feats, params.criterion):
-                t, node, a, b, depth, n1 = batch[i]
-                grown[t][2].append((node, f, c))
-                depth += 1
-                stacks[t].append((a + nl, b, depth, node, n1 - l1, leaf(b - a - nl, n1 - l1, depth)))
-                stacks[t].append((a, a + nl, depth, -1, l1, leaf(nl, l1, depth)))
+        batch, lo, size, cells = [], [], [], 0
+        for t in sorted(pending, key=lambda t: stacks[t][-1][1] - stacks[t][-1][2]):
+            node, a, b, depth, n1 = stacks[t][-1]
+            if not batch or cells + (b - a) * k <= _STEP_CELLS:
+                batch.append((t, *stacks[t].pop()))
+                lo.append(a)
+                size.append(b - a)
+                cells += (b - a) * k
+        if k < n_cols:
+            feats = np.array([rngs[t].choice(n_cols, size=(k,), replace=False) for t, *_ in batch])
+            feats.sort(axis=1)
+        else:
+            feats = np.broadcast_to(np.arange(n_cols), (len(batch), n_cols))
+        for i, f, c, nl, l1 in zip(*_split(coded, perm, np.array(lo), np.array(size), feats, params.criterion)):
+            t, node, a, b, depth, n1 = batch[i]
+            count0, count1, splits = grown[t]
+            left, nr, r1 = len(count0), b - a - nl, n1 - l1
+            count0 += (nl - l1, nr - r1)
+            count1 += (l1, r1)
+            splits.append((node, f, c, left, depth))
+            depth += 1
+            if not leaf(nr, r1, depth):
+                stacks[t].append((left + 1, a + nl, b, depth, r1))
+            if not leaf(nl, l1, depth):
+                stacks[t].append((left, a, a + nl, depth, l1))
         pending = [t for t in pending if stacks[t]]
     return [_tree(params, n_cols, *arrays) for arrays in grown]
 
 
-def _split(coded: _Coded, perm, batch, feats, criterion):
-    """Search the batch's nodes and split their ranges of perm in place.
+def _split(coded: _Coded, perm, lo, size, feats, criterion):
+    """Search the nodes perm[lo[i] : lo[i] + size[i]] and split them in place.
 
-    Yields (i, feature, threshold, left rows, left positives) for each node
-    batch[i] = (tree, node, first, end, depth, positives) that splits; its
-    left rows then fill the start of its range.
+    Returns lists (i, feature, threshold, left rows, left positives) over
+    the nodes i that split; their left rows then fill the start of their
+    ranges, in their former order, and the right rows follow.
     """
-    lo = np.array([b[2] for b in batch])
-    size = np.array([b[3] for b in batch]) - lo
-    start = np.cumsum(size) - size
-    rows = perm[np.arange(start[-1] + size[-1]) + np.repeat(lo - start, size)]
+    start = size.cumsum() - size
+    rows = perm.take(np.arange(start[-1] + size[-1]) + (lo - start).repeat(size))
     # A batch over _STEP_CELLS is one node: search its features a few at a
     # time, so the search holds about _STEP_CELLS cells, or one feature's. A
     # later group wins only with a greater gain, which keeps the tie-break.
-    step = max(1, _STEP_CELLS // int(size.sum()))
-    best = None
-    for j in range(0, feats.shape[1], step):
-        found = _search(coded, rows, size, feats[:, j : j + step], criterion)
-        if best is None:
-            best, cut, bound, gain = found
-        elif found[0][0] >= 0 and (best[0] < 0 or found[3][0] > gain[0]):
-            best, cut, bound, gain = found[0] + j, found[1], found[2], found[3]
-    found = best >= 0
-    split = np.flatnonzero(found)
-    if split.size == 0:
-        return
-    rows = rows[np.repeat(found, size)]
-    size, feature = size[split], feats[split, best[split]]
-    code = coded.code.ravel()[rows + np.repeat(feature * coded.code.shape[1], size)]
-    go_left = (code >> 1) <= np.repeat(bound[split], size)
-    start = np.cumsum(size) - size
-    n_left = np.add.reduceat(go_left, start, dtype=np.intp)
-    left_n1 = np.add.reduceat(code & go_left, start, dtype=np.intp)
-    # Each row's place in its node's range: its rank among the node's left
-    # rows, or after all of them, its rank among the right ones.
-    lefts = np.cumsum(go_left)
-    lefts -= np.repeat(lefts[start] - go_left[start], size)
-    at = np.where(go_left, lefts - 1, np.arange(rows.size) - np.repeat(start - n_left, size) - lefts)
-    perm[np.repeat(lo[split], size) + at] = rows
-    for i, f, c, nl, l1, n in zip(split.tolist(), feature.tolist(), cut[split].tolist(), n_left.tolist(),
-                                  left_n1.tolist(), size.tolist()):
-        # With nl == n the midpoint rounded onto the upper value (adjacent
-        # floats), so "<=" keeps every sample on the left: the cut separates
-        # nothing and the node stays a leaf.
-        if nl < n:
-            yield i, f, c, nl, l1
+    step = max(1, _STEP_CELLS // rows.size)
+    found = _search(coded, rows, size, feats[:, :step], criterion)
+    for j in range(step, feats.shape[1], step):
+        group = _search(coded, rows, size, feats[:, j : j + step], criterion)
+        if group[0].size and (found[0].size == 0 or group[4][0] > found[4][0]):
+            found = (group[0], group[1] + j, *group[2:])
+    node, row, cut, bound, _, n_left, left_n1 = found
+    # With every row on the left the midpoint rounded onto the upper value
+    # (adjacent floats), so "<=" keeps every sample on the left: the cut
+    # separates nothing and the node stays a leaf.
+    split = n_left < size[node]
+    node, n_left = node[split], n_left[split]
+    if node.size == 0:
+        return [], [], [], [], []
+    feature = feats[node, row[split]]
+    # Rows of a node without a cut all go left, which leaves them in place.
+    offset, limit, lefts = np.zeros_like(size), np.empty_like(size), size.copy()
+    limit.fill(coded.span)
+    offset[node], limit[node], lefts[node] = feature * coded.code.shape[1], 2 * bound[split] + 1, n_left
+    go_left = coded.code.ravel().take(offset.repeat(size) + rows) <= limit.repeat(size)
+    rights = size - lefts
+    ends = lefts.cumsum()
+    perm[np.arange(ends[-1]) + (lo - ends + lefts).repeat(lefts)] = rows.compress(go_left)
+    ends = rights.cumsum()
+    perm[np.arange(ends[-1]) + (lo + size - ends).repeat(rights)] = rows.compress(~go_left)
+    return node.tolist(), feature.tolist(), cut[split].tolist(), n_left.tolist(), left_n1[split].tolist()
 
 
-def _tree(params, n_cols, count0, count1, splits, rights) -> CartTree:
+def _tree(params, n_cols, count0, count1, splits) -> CartTree:
+    """The tree of nodes numbered as they were made, renumbered in preorder.
+
+    splits holds (node, feature, threshold, left child, depth) of each node
+    that split; its right child is its left child + 1. A node's preorder
+    number is its parent's + 1 if it is a left child, and past its left
+    sibling's subtree if it is a right one.
+    """
     size = len(count0)
+    number, under = np.zeros(size, dtype=np.intp), np.ones(size, dtype=np.intp)
+    if splits:
+        node, feats, cuts, child, depth = (np.array(c) for c in zip(*splits))
+        levels = np.split(depth.argsort(kind="stable"), np.flatnonzero(np.diff(np.sort(depth))) + 1)
+        for at in reversed(levels):
+            under[node[at]] += under[child[at]] + under[child[at] + 1]
+        for at in levels:
+            parent, left = number[node[at]], child[at]
+            number[left] = parent + 1
+            number[left + 1] = parent + 1 + under[left]
     feature, left, right = (np.full(size, -1, dtype=np.intp) for _ in range(3))
     threshold = np.zeros(size)
+    count = np.empty((2, size), dtype=np.intp)
+    count[:, number] = count0, count1
     if splits:
-        node, feats, cuts = (np.array(c) for c in zip(*splits))
-        feature[node], threshold[node], left[node] = feats, cuts, node + 1
-        parent, child = np.array(rights).T
-        right[parent] = child
+        at = number[node]
+        feature[at], threshold[at], left[at], right[at] = feats, cuts, at + 1, number[child + 1]
     return CartTree(
         feature=feature,
         threshold=threshold,
         left=left,
         right=right,
-        count0=np.array(count0, dtype=np.intp),
-        count1=np.array(count1, dtype=np.intp),
+        count0=count[0],
+        count1=count[1],
         params=params,
         n_features=n_cols,
     )

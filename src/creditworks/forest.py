@@ -14,6 +14,7 @@ import io
 import math
 import os
 import signal
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -120,14 +121,13 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     step_up[seg_end[:-1] - 1] = False
     cand = step_up.nonzero()[0]
     del step_up
-    # Segment s starts at sorted position start[s] and holds the candidates
-    # cand[first[s] : first[s] + count[s]]. Per segment, table holds the
+    # Segment s starts at sorted position start[s] and holds count[s]
+    # candidates, node i holds per_node[i]. Per segment, table holds the
     # position before its start, the positives before it, and its node's
     # rows and positives.
     start = seg_end - sizes.repeat(k)
-    first = cand.searchsorted(start)
-    count = cand.searchsorted(seg_end - 1) - first
-    seg = np.arange(m * k).repeat(count)
+    count = cand.searchsorted(seg_end - 1) - cand.searchsorted(start)
+    per_node = np.add.reduce(count.reshape(m, k), axis=1)
     table = np.empty((4, m, k), dtype=cum.dtype)
     table[0].flat = start - 1
     table[1].flat = cum[start - 1]
@@ -137,7 +137,7 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     # Samples and positives: the left and right side of each candidate,
     # then each node.
     c = cand.size
-    of = table.reshape(4, m * k).take(seg, axis=1)
+    of = table.reshape(4, m * k).repeat(count, axis=1)
     n, n1 = np.empty(2 * c + m), np.empty(2 * c + m)
     np.subtract(cand, of[0], out=n[:c])
     np.subtract(cum.take(cand), of[1], out=n1[:c])
@@ -147,35 +147,30 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     impurity = _impurity(n, n1, criterion)
     weighted = n[: 2 * c].reshape(2, c) / of[2]
     weighted *= impurity[: 2 * c].reshape(2, c)
-    gains = impurity[2 * c :].repeat(k).take(seg)
+    gains = impurity[2 * c :].repeat(per_node)
     gains -= weighted[0]
     gains -= weighted[1]
     del n, n1, of, weighted
-    # Each node's first maximum over its segments in feature order, then
-    # the first candidate of the winning segment that reaches it.
-    top = np.empty(m * k)
-    top.fill(-np.inf)
-    some = count.nonzero()[0]
-    top[some] = np.maximum.reduceat(gains, first[some])
-    by_node = top.reshape(m, k)
-    node_top = np.maximum.reduce(by_node, axis=1)
-    won = (node_top > -np.inf).nonzero()[0]
-    s = won * k + (by_node[won] == node_top[won, None]).argmax(axis=1)
-    hits = (gains == top.take(seg)).nonzero()[0]
-    hit = hits[seg[hits].searchsorted(s)]
+    # Candidates run in (node, feature row, position) order, so the first
+    # candidate of a node to reach the node's highest gain wins.
+    won = per_node.nonzero()[0]
+    first = per_node.cumsum()[won] - per_node[won]
+    top = np.maximum.reduceat(gains, first) if won.size else gains[:0]
+    hits = (gains == top.repeat(per_node[won])).nonzero()[0]
+    hit = hits[hits.searchsorted(first)]
     p = cand[hit]
+    seg = start.searchsorted(p, side="right") - 1
     base = won * (span // 2)
     bound, hi_rank = key[p] - base, key[p + 1] - base
     hi = coded.values[hi_rank]
     cut = (coded.values[bound] + hi) / 2.0
     rounded = cut == hi
-    if rounded.any():
+    if np.count_nonzero(rounded):
         # The upper value goes left too, and so do the rows up to the
         # segment's next candidate, or its end.
-        after = np.minimum(hit + 1, c - 1)
-        end = np.where((hit + 1 < c) & (seg[after] == s), cand[after], seg_end[s] - 1)
+        end = np.minimum(np.append(cand, key.size)[hit + 1], seg_end[seg] - 1)
         p, bound = np.where(rounded, end, p), np.where(rounded, hi_rank, bound)
-    return won, s - won * k, cut, bound, gains[hit], p - table[0].flat[s], cum[p] - table[1].flat[s]
+    return won, seg - won * k, cut, bound, gains[hit], p - start[seg] + 1, cum[p] - table[1].flat[seg]
 
 
 def _check_rows(rows, n: int) -> np.ndarray:
@@ -561,6 +556,9 @@ class ForestConfig:
         check_setting("bootstrap", self.bootstrap, bool)
         if self.n_trees < 1:
             raise TrainingError(f"n_trees must be >= 1, got {self.n_trees}")
+        # A count past the index range could not even size the list of trees.
+        if self.n_trees > sys.maxsize:
+            raise TrainingError(f"n_trees must be at most {sys.maxsize}")
 
 
 @dataclass(frozen=True)
@@ -625,6 +623,26 @@ def _workers(x, params: CartParams) -> int:
     return max(1, min(cpus, _MAX_WORKERS, 1 + extra))
 
 
+def _place(worker: int) -> None:
+    """Move this process to CPU number worker (mod their count) of those it
+    may run on, then let it run on all of them again.
+
+    A forked child starts on its parent's CPU, and the scheduler may leave
+    both there for the whole fit while another CPU idles. A moment's pin
+    moves each worker to a CPU of its own; restoring the mask at once leaves
+    the scheduler free to move it later. Where the affinity cannot be set,
+    nothing changes.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(cpus)[worker % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _starts(config: ForestConfig, n: int, worker: int, workers: int):
     """(rng, rows) of each tree t = worker (mod workers): tree t's generator,
     seeded with (seed, t), draws its bootstrap rows first."""
@@ -656,6 +674,7 @@ def _grow_in_child(
     try:
         for read_end in read_ends:
             os.close(read_end)
+        _place(worker)
         starts = _starts(config, coded.y.size, worker, workers)
         trees = _grow(coded, config.params, starts, stop=lambda: os.getppid() != parent)
         if trees is None:
@@ -681,9 +700,10 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     With W = min(n_trees, _workers(x, params)) workers, worker w grows the
     trees t = w (mod W) in lockstep (see _grow): worker 0 is this process and
     the others are forked children, which send their trees' arrays back
-    through a pipe each. The inputs are checked, and the rank codes the
-    split search sorts are made, once, here, before any fork; the children
-    share the codes. Every received tree is checked again by CartTree. A
+    through a pipe each. Each worker first moves to a CPU of its own (see
+    _place). The inputs are checked, and the rank codes the split search
+    sorts are made, once, here, before any fork; the children share the
+    codes. Every received tree is checked again by CartTree. A
     child that fails raises TrainingError naming its exit status; on any
     error the children are killed and reaped.
     """
@@ -694,6 +714,8 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     trees = [None] * config.n_trees
     children = {}  # worker -> pid, until reaped
     pipes = {}  # worker -> read end, until closed
+    if workers > 1:
+        _place(0)
     try:
         for w in range(1, workers):
             pipes[w], write_end = os.pipe()

@@ -58,10 +58,12 @@ def _json_pieces(value, indent: str):
     indent (a newline and the enclosing level's spaces), in pieces.
 
     json's indenting encoder is pure Python, one call per number. A run of
-    up to JSON_ITEMS items of a list that holds no list, tuple or dict is
-    formatted instead by json's C encoder, in one call, with the indented
-    item separator: each item's text is json's either way. Everything else
-    goes through json.dumps, whose newlines are re-indented to this level.
+    up to JSON_ITEMS items of a list, numbers say, is formatted instead by
+    json's C encoder, in one call, with the indented item separator: each
+    item's text is json's either way. That holds while no item is a list or
+    dict, which would need indenting; a run with one, or with a string, goes
+    item by item. Everything else goes through json.dumps, whose newlines
+    are re-indented to this level.
     """
     inner = indent + "  "
     if isinstance(value, (list, tuple)) and value:
@@ -69,9 +71,13 @@ def _json_pieces(value, indent: str):
         yield "["
         for start in range(0, len(value), JSON_ITEMS):
             run = value[start : start + JSON_ITEMS]
-            if not any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, run))):
-                yield ("," if start else "") + inner + flat.encode(run)[1:-1]
-                continue
+            if not isinstance(run[0], (list, tuple, dict)):
+                # Without a string, a bracket or brace could only open a
+                # nested list or dict, which needs indenting.
+                text = flat.encode(run)[1:-1]
+                if not ('"' in text or "[" in text or "{" in text):
+                    yield ("," if start else "") + inner + text
+                    continue
             for i, item in enumerate(run, start):
                 yield ("," if i else "") + inner
                 yield from _json_pieces(item, inner)

@@ -105,7 +105,7 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     # numpy's array methods and ufuncs, not its module functions: a step's
     # search makes about a hundred calls on arrays that are often tiny. take
     # and compress gather faster than fancy and boolean indexing.
-    at = (feats.T * coded.code.shape[1]).repeat(sizes, axis=1)
+    at = (feats.T.astype(rows.dtype) * coded.code.shape[1]).repeat(sizes, axis=1)
     at += rows
     key = coded.code.ravel().take(at)
     del at
@@ -414,7 +414,8 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
 
     # Per tree: a stack of (node, first, end, depth, positives) and the
     # count0, count1 and splits of its nodes so far. Each tree's rows are
-    # kept as int32 as soon as they are drawn.
+    # kept as int32 as soon as they are drawn, when every cell's index in
+    # the code table fits.
     rngs, parts, stacks, grown, first = [], [], [], [], 0
     for rng, rows in starts:
         if rows.size == 0:
@@ -424,7 +425,7 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
         grown.append(([rows.size - n1], [n1], []))
         first += rows.size
         rngs.append(rng)
-        parts.append(rows.astype(np.int32 if coded.y.size < 2**31 else np.intp))
+        parts.append(rows.astype(np.int32 if coded.code.size < 2**31 else np.intp))
     if k < n_cols and any(rng is None for rng in rngs):
         raise TrainingError("feature subsampling requires an rng")
     perm = np.concatenate(parts)
@@ -455,7 +456,7 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
             left, nr, r1 = len(count0), b - a - nl, n1 - l1
             count0 += (nl - l1, nr - r1)
             count1 += (l1, r1)
-            splits.append((node, f, c, left, depth))
+            splits.append((node, f, c, left))
             depth += 1
             if not leaf(nr, r1, depth):
                 stacks[t].append((left + 1, a + nl, b, depth, r1))
@@ -508,28 +509,28 @@ def _split(coded: _Coded, perm, lo, size, feats, criterion):
 def _tree(params, n_cols, count0, count1, splits) -> CartTree:
     """The tree of nodes numbered as they were made, renumbered in preorder.
 
-    splits holds (node, feature, threshold, left child, depth) of each node
-    that split; its right child is its left child + 1. A node's preorder
-    number is its parent's + 1 if it is a left child, and past its left
-    sibling's subtree if it is a right one.
+    splits holds (node, feature, threshold, left child) of each node that
+    split, in the order they split, so after their parents; a right child
+    is its left sibling + 1. In preorder a left child follows its parent,
+    and a right child follows its left sibling's subtree.
     """
     size = len(count0)
-    number, under = np.zeros(size, dtype=np.intp), np.ones(size, dtype=np.intp)
-    if splits:
-        node, feats, cuts, child, depth = (np.array(c) for c in zip(*splits))
-        levels = np.split(depth.argsort(kind="stable"), np.flatnonzero(np.diff(np.sort(depth))) + 1)
-        for at in reversed(levels):
-            under[node[at]] += under[child[at]] + under[child[at] + 1]
-        for at in levels:
-            parent, left = number[node[at]], child[at]
-            number[left] = parent + 1
-            number[left + 1] = parent + 1 + under[left]
+    under = [1] * size
+    for node, _, _, left in reversed(splits):
+        under[node] += under[left] + under[left + 1]
+    number = [0] * size
+    for node, _, _, left in splits:
+        number[left] = number[node] + 1
+        number[left + 1] = number[left] + under[left]
+    number = np.array(number)
     feature, left, right = (np.full(size, -1, dtype=np.intp) for _ in range(3))
     threshold = np.zeros(size)
     count = np.empty((2, size), dtype=np.intp)
     count[:, number] = count0, count1
     if splits:
-        at = number[node]
+        node, feats, cuts, child = zip(*splits)
+        at = number[list(node)]
+        child = np.array(child)
         feature[at], threshold[at], left[at], right[at] = feats, cuts, at + 1, number[child + 1]
     return CartTree(
         feature=feature,

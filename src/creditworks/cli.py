@@ -50,7 +50,7 @@ def _stamp() -> dict:
 
 # Items of a list that one C call formats: bounds the text that call
 # builds, whatever the length of the list.
-JSON_ITEMS = 1024
+JSON_ITEMS = 256
 
 
 def _json_pieces(value, indent: str):
@@ -60,10 +60,9 @@ def _json_pieces(value, indent: str):
     json's indenting encoder is pure Python, one call per number. A run of
     up to JSON_ITEMS items of a list, numbers say, is formatted instead by
     json's C encoder, in one call, with the indented item separator: each
-    item's text is json's either way. That holds while no item is a list or
-    dict, which would need indenting; a run with one, or with a string, goes
-    item by item. Everything else goes through json.dumps, whose newlines
-    are re-indented to this level.
+    item's text is json's either way, while no item is a list or dict,
+    which would need indenting. Everything else goes through json.dumps,
+    whose newlines are re-indented to this level.
     """
     inner = indent + "  "
     if isinstance(value, (list, tuple)) and value:
@@ -72,10 +71,10 @@ def _json_pieces(value, indent: str):
         for start in range(0, len(value), JSON_ITEMS):
             run = value[start : start + JSON_ITEMS]
             if not isinstance(run[0], (list, tuple, dict)):
-                # Without a string, a bracket or brace could only open a
-                # nested list or dict, which needs indenting.
                 text = flat.encode(run)[1:-1]
-                if not ('"' in text or "[" in text or "{" in text):
+                # A bracket or brace may open a nested list or dict, which
+                # needs indenting: then the run goes item by item.
+                if "[" not in text and "{" not in text:
                     yield ("," if start else "") + inner + text
                     continue
             for i, item in enumerate(run, start):

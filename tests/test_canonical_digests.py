@@ -2,8 +2,8 @@
 
 Runs explore, prepare, train, evaluate, score and price under
 CREDITWORKS_CANONICAL=1 on the shared synthetic book, once with the
-logistic config (fitted by Newton's method) and once with a 5-tree forest,
-and compares the sha256 of each file the commands write with the digests
+logistic config (fitted by Newton's method), once with a 5-tree forest of
+depth 4 and once with a 30-tree forest of depth 10, and compares the sha256 of each file the commands write with the digests
 below. The logistic run is repeated on the book with one more column,
 outside the spec, read with allow_extra_columns: it must change no byte. A
 refactor must leave them all unchanged; a change that alters bytes on
@@ -58,6 +58,21 @@ CASES = {
             "roc.csv": "b0d40914f52389a23994c3f70704be9e430799a97ed824c626647480bcee99e3",
             "scores.csv": "a80e339b572fa70db64778f2b117432079d100bb142e5b02d67675b79ca06489",
             "training_log.json": "12cc85ed1b3670d670b69297d2407ad5d23eee85d7f19f0d7d42906e9dbb63c6",
+        },
+    ),
+    # The benchmark's forest shape: trees deep enough that the grower's
+    # steps hold many nodes of every depth at once.
+    "forest-deep": (
+        {"kind": "forest", "n_trees": 30, "max_depth": 10},
+        {
+            "comparison.json": "4c66f08c291f0cc9b6ec10109e0f967353865b575fa80b7acf7d483ef5a071e8",
+            "model.json": "d81bc66bcab4b26ef2d24ae84648e0c055fba45f4ccf3cae61d656a691a527e0",
+            "pricing.csv": "13e9b7c6ae2e208599659815318744e04856ea634310418de404dbc9790a36f0",
+            "report.json": "9d10600641f6b2d80666d72a494b09a9d3980109e21665be1932380e7ec3fcbc",
+            "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
+            "roc.csv": "f2af7ea6bf1d00f350b4e52004e9ad376b12eb700318c2a2b006438f4b3ba329",
+            "scores.csv": "88b45bb023d6e6fcacc3eeb2c259ad363bf532f4c6983d6304b3abf7890e713f",
+            "training_log.json": "b438c8d8e1ab662f69c5f0e30eed7dcaefd83ec3b4e7b9bfeb10f4e6504144e7",
         },
     ),
 }

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -506,6 +508,17 @@ def test_config_integer_past_the_float_range_is_usage_error(workdir, capsys, ove
     err = capsys.readouterr().err
     assert err.startswith("creditworks: ") and err.count("\n") == 1, err
     assert key in err and "finite number" in err, err
+    assert not (workdir / "out").exists()
+
+
+def test_forest_n_trees_past_the_index_range_is_usage_error(workdir, capsys):
+    # 401 digits, too many trees for any list to hold; a large finite count
+    # is not tried, since the fit would try to allocate its list.
+    write_config(workdir / "config.json", model={"kind": "forest", "n_trees": 10**400})
+    assert run(workdir, "train") == 64
+    err = capsys.readouterr().err
+    assert err.startswith("creditworks: ") and err.count("\n") == 1, err
+    assert "n_trees must be at most" in err, err
     assert not (workdir / "out").exists()
 
 
@@ -1033,3 +1046,59 @@ def test_number_writer_writes_the_bytes_of_csv_writer(tmp_path, rows):
     cli._write_csv(tmp_path / "want.csv", header, rows)
     cli._write_numbers(tmp_path / "got.csv", header, "%d,%r,%r,%d\n", rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 1e-7, float("nan"), float("inf"), -float("inf")]),
+    st.text(),
+    st.text(alphabet="\"\\\n\t\x00\x1fé€😀[]{}"),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        # Runs of plain numbers, which the writer formats in one call.
+        st.lists(st.one_of(st.integers(), st.floats()), max_size=9),
+    ),
+    max_leaves=25,
+)
+
+
+@pytest.mark.parametrize("items", [2, cli.JSON_ITEMS])
+@settings(max_examples=150, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=5))
+def test_json_writer_writes_the_bytes_of_json_dump(tmp_path_factory, items, payload):
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    with mock.patch.object(cli, "JSON_ITEMS", items):
+        cli._write_json(path, payload)
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_json_writer_holds_one_run_of_numbers_not_the_model(tmp_path):
+    """Writing a forest holds, beyond the payload, about the text of one of
+    its arrays (here less: the arrays are longer than one run of numbers),
+    not the model text."""
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(10_000, 3)), rng.integers(0, 2, size=10_000)
+    config = forest.ForestConfig(n_trees=3, seed=1, params=forest.CartParams())
+    payload = forest.forest_to_json_dict(forest.fit_forest(x, y, config))
+    largest = max(len(json.dumps(values, indent=8)) for tree in payload["trees"] for values in tree.values())
+    cli._write_json(tmp_path / "model.json", payload)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_json(tmp_path / "model.json", payload)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    whole = (tmp_path / "model.json").stat().st_size
+    assert whole > 10 * largest
+    assert peak < largest, (peak, largest, whole)

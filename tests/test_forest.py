@@ -316,6 +316,41 @@ def test_fit_cart_leaf_when_midpoint_rounds_onto_upper_value():
     assert tree.predict_proba(x).tolist() == [0.5, 0.5]
 
 
+def test_fit_cart_splits_when_midpoint_rounds_onto_a_value_below_others():
+    # The first of two equal-gain cuts lies between adjacent floats, so its
+    # threshold is the upper one and both go left; 2.0 still goes right.
+    a = 1.0 + 2.0**-52
+    x = np.array([[a], [np.nextafter(a, 2.0)], [2.0]])
+    y = np.array([0, 1, 0])
+    tree = fit_cart(x, y, CartParams())
+    assert tree.threshold[0] == x[1, 0]
+    assert tree.stats()["nodes"] == 3
+    want = _reference_cart(x, y, CartParams())
+    for name in TREE_ARRAYS:
+        assert getattr(tree, name).tolist() == want[name], name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lockstep_equals_one_node_a_step_where_midpoints_round(seed):
+    # Values one float apart, so many midpoints round onto the upper value,
+    # in nodes that share a step with others and in nodes alone in theirs.
+    rng = np.random.default_rng(seed)
+    a = 1.0 + 2.0**-52
+    grid = np.array([a, np.nextafter(a, 2.0), np.nextafter(np.nextafter(a, 2.0), 2.0), 1.5, 2.0])
+    x = grid[rng.integers(0, grid.size, size=(80, 3))]
+    y = rng.integers(0, 2, size=80)
+    params = CartParams(feature_subsample=2)
+
+    def grow(cap):
+        starts = ((np.random.default_rng((seed, t)), np.arange(80)) for t in range(4))
+        with mock.patch.object(forest, "_STEP_CELLS", cap):
+            return forest._grow(forest._coded(x, y), params, starts)
+
+    for together, alone in zip(grow(2**62), grow(1)):
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(together, name), getattr(alone, name)), name
+
+
 @pytest.mark.parametrize("criterion", CRITERIA)
 def test_fit_cart_matches_recursive_reference(criterion):
     for seed in range(4):
@@ -629,6 +664,42 @@ def test_failed_worker_raises_and_leaves_no_child(monkeypatch, bad_tree, error, 
         fit_forest(x, y, config)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_fit_leaves_the_cpu_mask_and_the_trees_as_they_were(monkeypatch):
+    """Each fit worker pins itself to a CPU for a moment: the process ends
+    the fit with the CPU mask it started with, and with the serial trees."""
+    x, y = _tie_heavy_data(7, n=160)
+    config = ForestConfig(n_trees=6, params=CartParams(feature_subsample="auto", max_depth=5), seed=4)
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(forest, "_workers", lambda x, params: 1)
+    serial = fit_forest(x, y, config)
+    monkeypatch.setattr(forest, "_workers", lambda x, params: 2)
+    pooled = fit_forest(x, y, config)
+    assert os.sched_getaffinity(0) == mask
+    for a, b in zip(serial.trees, pooled.trees):
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_placing_a_worker_where_affinity_cannot_be_set_changes_nothing(monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError("not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forest._place(1)  # no error
+    monkeypatch.setattr(forest, "_workers", lambda x, params: 2)
+    x, y = _tie_heavy_data(3, n=80)
+    assert fit_forest(x, y, ForestConfig(n_trees=2, seed=1)).n_trees == 2
+
+
+def test_n_trees_past_the_index_range_is_rejected():
+    # Only a count that no list can hold: a large finite one would try to
+    # allocate its list of trees.
+    with pytest.raises(TrainingError, match="n_trees must be at most"):
+        ForestConfig(n_trees=10**400)
 
 
 AUTO = CartParams(feature_subsample="auto")

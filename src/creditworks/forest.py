@@ -439,7 +439,7 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
         # ones; a node of more than _STEP_CELLS cells gets a step to itself.
         batch, lo, size, cells = [], [], [], 0
         for t in sorted(pending, key=lambda t: stacks[t][-1][1] - stacks[t][-1][2]):
-            node, a, b, depth, n1 = stacks[t][-1]
+            a, b = stacks[t][-1][1:3]
             if not batch or cells + (b - a) * k <= _STEP_CELLS:
                 batch.append((t, *stacks[t].pop()))
                 lo.append(a)

@@ -43,13 +43,6 @@ def _impurity(n, n1, criterion):
     return -(t0 + t1)
 
 
-def _impurity_from_counts(n0, n1, criterion):
-    """Impurity of nodes given per-class counts; vectorized over arrays."""
-    n0 = np.asarray(n0, dtype=np.float64)
-    n1 = np.asarray(n1, dtype=np.float64)
-    return _impurity(n0 + n1, n1, criterion)
-
-
 class _Coded(NamedTuple):
     """A training matrix as rank codes, which one integer sort orders.
 

@@ -33,7 +33,7 @@ from creditworks.forest import CRITERIA, TREE_ARRAYS
 
 def _impurity(criterion):
     """The impurity the split search uses, as a float of two class counts."""
-    return lambda n0, n1: float(forest._impurity_from_counts(n0, n1, criterion))
+    return lambda n0, n1: float(forest._impurity(float(n0 + n1), float(n1), criterion))
 
 
 def test_gini_hand_values():

@@ -666,6 +666,26 @@ def test_failed_worker_raises_and_leaves_no_child(monkeypatch, bad_tree, error, 
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("wide", ["codes", "node-offsets"])
+def test_trees_do_not_depend_on_the_sort_key_width(wide):
+    # int64 codes stand in for a matrix of 2**30 cells or more, and a span
+    # of 2**31 for a step whose nodes' offsets pass int32.
+    x, y = _tie_heavy_data(11, n=150)
+    coded = forest._coded(x, y)
+    if wide == "codes":
+        widened = coded._replace(code=coded.code.astype(np.int64))
+    else:
+        widened = coded._replace(span=2**31)
+    params = CartParams(feature_subsample=2, max_depth=6)
+
+    def grow(codes):
+        return forest._grow(codes, params, ((np.random.default_rng((5, t)), np.arange(150)) for t in range(3)))
+
+    for a, b in zip(grow(coded), grow(widened)):
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
 def test_fit_leaves_the_cpu_mask_and_the_trees_as_they_were(monkeypatch):
     """Each fit worker pins itself to a CPU for a moment: the process ends

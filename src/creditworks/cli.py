@@ -48,57 +48,10 @@ def _stamp() -> dict:
     return {"generated_at": datetime.now(timezone.utc).isoformat()}
 
 
-# Items of a list that one C call formats: bounds the text that call
-# builds, whatever the length of the list.
-JSON_ITEMS = 256
-
-
-def _json_pieces(value, indent: str):
-    """The text of json.dumps(value, sort_keys=True, indent=2), nested at
-    indent (a newline and the enclosing level's spaces), in pieces.
-
-    json's indenting encoder is pure Python, one call per number. A run of
-    up to JSON_ITEMS items of a list, numbers say, is formatted instead by
-    json's C encoder, in one call, with the indented item separator: each
-    item's text is json's either way, while no item is a list or dict,
-    which would need indenting. Everything else goes through json.dumps,
-    whose newlines are re-indented to this level.
-    """
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)) and value:
-        flat = json.JSONEncoder(separators=("," + inner, ": "))
-        yield "["
-        for start in range(0, len(value), JSON_ITEMS):
-            run = value[start : start + JSON_ITEMS]
-            if not isinstance(run[0], (list, tuple, dict)):
-                text = flat.encode(run)[1:-1]
-                # A bracket or brace may open a nested list or dict, which
-                # needs indenting: then the run goes item by item.
-                if "[" not in text and "{" not in text:
-                    yield ("," if start else "") + inner + text
-                    continue
-            for i, item in enumerate(run, start):
-                yield ("," if i else "") + inner
-                yield from _json_pieces(item, inner)
-        yield indent + "]"
-    elif isinstance(value, dict) and value and all(type(key) is str for key in value):
-        yield "{"
-        for i, (key, item) in enumerate(sorted(value.items())):
-            yield ("," if i else "") + inner + json.dumps(key) + ": "
-            yield from _json_pieces(item, inner)
-        yield indent + "}"
-    else:
-        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    """Write the bytes of json.dump(payload, fh, sort_keys=True, indent=2)
-    and a newline, piece by piece: a forest's model text is never held
-    whole, only the text of up to JSON_ITEMS of its numbers."""
-    with open(path, "wb") as fh:
-        for piece in _json_pieces(payload, "\n"):
-            fh.write(piece.encode("utf-8"))
-        fh.write(b"\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _read_config(path: str) -> tuple[dict, Path]:

@@ -10,7 +10,8 @@ threshold exists at all.
 
 from __future__ import annotations
 
-import io
+import base64
+import json
 import math
 import os
 import signal
@@ -201,10 +202,6 @@ class CartParams:
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "count0", "count1")
-
-
-def _dtype(name: str):
-    return np.float64 if name == "threshold" else np.intp
 
 
 @dataclass(frozen=True, eq=False)
@@ -648,15 +645,13 @@ def _starts(config: ForestConfig, n: int, worker: int, workers: int):
 def _grow_in_child(
     coded: _Coded, config: ForestConfig, worker: int, workers: int, write_end: int, parent: int, read_ends
 ):
-    """Grow worker's trees in lockstep, write their arrays to write_end as .npy
-    records in tree order, and end the process: exit status 0 once all are
-    written.
+    """Grow worker's trees in lockstep, write them to write_end as the JSON
+    text of a list of their _encode_tree dicts, in tree order, and end the
+    process: exit status 0 once all are written.
 
     os._exit never returns into the caller and skips the atexit handlers and
     the flush of stdio buffers inherited from the parent, so nothing the
-    parent had buffered is written twice. The records are built in memory
-    and written in one go: numpy's .npy writer and reader need a seekable
-    file, which a pipe is not.
+    parent had buffered is written twice.
 
     If the parent dies without reaping this child, the child stops before
     the grower's next step. The read ends it inherited, its own included,
@@ -673,12 +668,9 @@ def _grow_in_child(
         trees = _grow(coded, config.params, starts, stop=lambda: os.getppid() != parent)
         if trees is None:
             return  # orphaned: no one will read these trees
-        records = io.BytesIO()
-        for tree in trees:
-            for name in TREE_ARRAYS:
-                np.lib.format.write_array(records, getattr(tree, name), allow_pickle=False)
-        with open(write_end, "wb") as pipe:
-            pipe.write(records.getbuffer())
+        text = json.dumps([_encode_tree(tree) for tree in trees])
+        with open(write_end, "w", encoding="ascii") as pipe:
+            pipe.write(text)
         status = 0
     finally:
         os._exit(status)
@@ -693,13 +685,13 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
 
     With W = min(n_trees, _workers(x, params)) workers, worker w grows the
     trees t = w (mod W) in lockstep (see _grow): worker 0 is this process and
-    the others are forked children, which send their trees' arrays back
-    through a pipe each. Each worker first moves to a CPU of its own (see
-    _place). The inputs are checked, and the rank codes the split search
-    sorts are made, once, here, before any fork; the children share the
-    codes. Every received tree is checked again by CartTree. A
-    child that fails raises TrainingError naming its exit status; on any
-    error the children are killed and reaped.
+    the others are forked children, which send their trees back through a
+    pipe each, in the codec of the model file. Each worker first moves to a
+    CPU of its own (see _place). The inputs are checked, and the rank codes
+    the split search sorts are made, once, here, before any fork; the
+    children share the codes. Every received tree is checked again by
+    _decode_tree. A child that fails raises TrainingError naming its exit
+    status; on any error the children are killed and reaped.
     """
     x, y = check_training_data(x, y)
     workers = min(config.n_trees, _workers(x, config.params))
@@ -729,18 +721,13 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
                 os.close(write_end)
         trees[::workers] = _grow(coded, config.params, _starts(config, x.shape[0], 0, workers))
         for w in range(1, workers):
-            with open(pipes.pop(w), "rb") as pipe:
-                records = io.BytesIO(pipe.read())
+            with open(pipes.pop(w), encoding="ascii") as pipe:
+                text = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(children[w], 0)[1])
             del children[w]
             if status != 0:
                 raise TrainingError(f"forest worker {w} failed with exit status {status}")
-            for t in range(w, config.n_trees, workers):
-                arrays = {
-                    name: np.lib.format.read_array(records, allow_pickle=False)
-                    for name in TREE_ARRAYS
-                }
-                trees[t] = CartTree(**arrays, params=config.params, n_features=x.shape[1])
+            trees[w::workers] = [_decode_tree(t, config.params, x.shape[1]) for t in json.loads(text)]
     finally:
         for read_end in pipes.values():
             os.close(read_end)
@@ -755,7 +742,39 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     )
 
 
-FOREST_FORMAT = "cart-arrays-1"
+FOREST_FORMAT = "cart-arrays-2"
+# The bytes each tree array is stored in: little-endian int32 node numbers,
+# features and counts, and float64 thresholds. Decoded arrays are widened
+# to the grower's intp and float64.
+_STORED = {name: np.dtype("<f8" if name == "threshold" else "<i4") for name in TREE_ARRAYS}
+
+
+def _encode_tree(tree: CartTree) -> dict:
+    """{name: base64 text of the array's _STORED bytes} of tree's arrays;
+    TrainingError if an integer does not fit its stored type."""
+    encoded = {}
+    for name, stored in _STORED.items():
+        values = getattr(tree, name)
+        narrow = values.astype(stored)
+        if stored.kind == "i" and not np.array_equal(narrow, values):
+            raise TrainingError(f"tree array {name!r} holds a value outside {stored.name}")
+        encoded[name] = base64.b64encode(narrow).decode("ascii")
+    return encoded
+
+
+def _decode_tree(encoded: dict, params: CartParams, n_features: int) -> CartTree:
+    """The tree _encode_tree encoded, checked by CartTree; DataError if an
+    array is not base64 text of whole items."""
+    arrays = {}
+    for name, stored in _STORED.items():
+        try:
+            raw = base64.b64decode(encoded[name], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise DataError(f"tree array {name!r} is not base64 text: {exc}") from exc
+        if len(raw) % stored.itemsize:
+            raise DataError(f"tree array {name!r} holds {len(raw)} bytes, not whole {stored.name} items")
+        arrays[name] = np.frombuffer(raw, stored).astype(np.float64 if stored.kind == "f" else np.intp)
+    return CartTree(**arrays, params=params, n_features=n_features)
 
 
 def forest_to_json_dict(forest: Forest) -> dict:
@@ -769,28 +788,16 @@ def forest_to_json_dict(forest: Forest) -> dict:
         "n_trees": forest.n_trees,
         "n_features": forest.n_features,
         "params": asdict(params),
-        "trees": [
-            {name: getattr(tree, name).tolist() for name in TREE_ARRAYS}
-            for tree in forest.trees
-        ],
+        "trees": [_encode_tree(tree) for tree in forest.trees],
     }
-
-
-def _tree_array(tree: dict, name: str) -> np.ndarray:
-    values = np.asarray(tree[name])
-    kinds = "if" if name == "threshold" else "i"
-    if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
-        what = "numbers" if name == "threshold" else "integers"
-        raise DataError(f"tree array {name!r} must be a list of {what}")
-    return values.astype(_dtype(name))
 
 
 def forest_from_json_dict(payload: dict) -> Forest:
     """Rebuild the forest that forest_to_json_dict wrote.
 
-    Any other format, including the nested-node layout of older versions,
-    raises DataError: such models must be retrained. So do tree arrays that
-    do not form a tree (see CartTree).
+    Any other format, including the number lists and nested nodes of older
+    versions, raises DataError: such models must be retrained. So do tree
+    arrays that do not form a tree (see CartTree).
     """
     if payload.get("kind") != "forest":
         raise DataError(f"payload kind {payload.get('kind')!r} is not a forest model")
@@ -801,14 +808,7 @@ def forest_from_json_dict(payload: dict) -> Forest:
         )
     params = CartParams(**payload["params"])
     n_features = int(payload["n_features"])
-    trees = tuple(
-        CartTree(
-            **{name: _tree_array(t, name) for name in TREE_ARRAYS},
-            params=params,
-            n_features=n_features,
-        )
-        for t in payload["trees"]
-    )
+    trees = tuple(_decode_tree(t, params, n_features) for t in payload["trees"])
     if not trees:
         raise DataError("forest payload holds no trees")
     return Forest(

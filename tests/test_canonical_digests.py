@@ -51,7 +51,7 @@ CASES = {
         {"kind": "forest", "n_trees": 5, "max_depth": 4},
         {
             "comparison.json": "4c66f08c291f0cc9b6ec10109e0f967353865b575fa80b7acf7d483ef5a071e8",
-            "model.json": "cdaec04965606b78eeb64f30d27093037f0086334bdfc14e6c22a967ca5ff75c",
+            "model.json": "e37512b20e0d5f8ca6439e7f0e09d501f5d9514fce48066612a9a563ce9d41e2",
             "pricing.csv": "b97202683d729f1165f0c94351702f42c47f1a457c0521bf19dccb2273325e9d",
             "report.json": "9d10600641f6b2d80666d72a494b09a9d3980109e21665be1932380e7ec3fcbc",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
@@ -66,7 +66,7 @@ CASES = {
         {"kind": "forest", "n_trees": 30, "max_depth": 10},
         {
             "comparison.json": "4c66f08c291f0cc9b6ec10109e0f967353865b575fa80b7acf7d483ef5a071e8",
-            "model.json": "d81bc66bcab4b26ef2d24ae84648e0c055fba45f4ccf3cae61d656a691a527e0",
+            "model.json": "ccd57013bf0aa37552eabbf8c7239456e1e86ad00d3fcd073e63ac44b9f12638",
             "pricing.csv": "13e9b7c6ae2e208599659815318744e04856ea634310418de404dbc9790a36f0",
             "report.json": "9d10600641f6b2d80666d72a494b09a9d3980109e21665be1932380e7ec3fcbc",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",

@@ -1,7 +1,9 @@
+import base64
 import json
 import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -563,13 +565,30 @@ def test_tree_serialization_preserves_leaf_counts():
     tree = fit_cart(x, y, CartParams())
     forest = Forest(trees=(tree,), seed=0, bootstrap=False, columns=("a",))
     payload = forest_to_json_dict(forest)
-    arrays = payload["trees"][0]
-    assert arrays["feature"][0] == 0 and arrays["threshold"][0] == 0.5
-    left = arrays["left"][0]
-    assert arrays["feature"][left] == -1
-    assert arrays["count0"][left] == 1 and arrays["count1"][left] == 1
+    # Each array is base64 of its little-endian int32 or float64 bytes.
+    stored = {
+        "feature": struct.pack("<3i", 0, -1, -1),
+        "threshold": struct.pack("<3d", 0.5, 0.0, 0.0),
+        "left": struct.pack("<3i", 1, -1, -1),
+        "right": struct.pack("<3i", 2, -1, -1),
+        "count0": struct.pack("<3i", 1, 1, 0),
+        "count1": struct.pack("<3i", 2, 1, 1),
+    }
+    assert payload["trees"] == [{name: base64.b64encode(raw).decode() for name, raw in stored.items()}]
     back = forest_from_json_dict(json.loads(json.dumps(payload))).trees[0]
     assert back.predict_proba(np.array([[0.0]]))[0] == 0.5
+
+
+def test_a_count_past_int32_is_not_written():
+    # A cast to int32 would wrap it to -2**31, and the model file would lie.
+    leaf = np.array([-1])
+    tree = CartTree(
+        feature=leaf, threshold=np.zeros(1), left=leaf, right=leaf,
+        count0=np.array([2**31]), count1=np.array([0]), params=CartParams(), n_features=1,
+    )
+    forest = Forest(trees=(tree,), seed=0, bootstrap=False, columns=("a",))
+    with pytest.raises(TrainingError, match="'count0' holds a value outside int32"):
+        forest_to_json_dict(forest)
 
 
 def test_forest_rejects_wrong_width():
@@ -793,24 +812,25 @@ def _finished(pid):
 )
 def test_workers_of_a_killed_parent_exit(tmp_path, fitting):
     workers = 3
-    # Each worker announces its pid once it has grown its trees, or, with
-    # steps to go, before its first step; then it sleeps for a second, while
-    # the parent is killed. Later steps are slow.
+    # Each worker announces its pid, and the size of the text it sends its
+    # trees in, once it has grown its trees, or, with steps to go, before its
+    # first step; then it sleeps for a second, while the parent is killed.
+    # Later steps are slow.
     script = f"""
-import os, time
+import json, os, time
 import numpy as np
 from creditworks import forest
 
 real_grow = forest._grow
 
-def announce():
-    os.write(1, b"%d\\n" % os.getpid())  # one write: the workers share stdout
+def announce(size=0):
+    os.write(1, b"%d %d\\n" % (os.getpid(), size))  # one write: the workers share stdout
     time.sleep(1.0)
 
 def slow_grow(coded, params, starts, stop=None):
     if not {fitting}:
         trees = real_grow(coded, params, starts, stop=stop)
-        announce()
+        announce(len(json.dumps([forest._encode_tree(tree) for tree in trees])))
         return trees
     announce()
 
@@ -831,9 +851,11 @@ forest.fit_forest(x, y, forest.ForestConfig(n_trees={2 * workers}))
         proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=err, env=env, text=True)
     children = []
     try:
-        pids = [int(proc.stdout.readline()) for _ in range(workers)]
-        children = [pid for pid in pids if pid != proc.pid]
+        announced = dict(map(int, proc.stdout.readline().split()) for _ in range(workers))
+        children = [pid for pid in announced if pid != proc.pid]
         assert len(children) == workers - 1
+        if not fitting:  # more than a 64 KiB pipe buffer each
+            assert min(announced[pid] for pid in children) > 1 << 16, announced
         proc.kill()
         proc.wait()
         deadline = time.monotonic() + 30.0

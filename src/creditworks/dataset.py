@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import array
-import bisect
 import csv
 import io
 import itertools
@@ -309,153 +308,116 @@ def _open(source):
     raise TypeError(f"cannot read CSV from {type(source).__name__}")
 
 
-class _Lines:
-    """The lines of a CSV byte stream, one chunk of about CHUNK_BYTES at a time.
-
-    Each read is cut after its last line end and decoded whole. `lines`
-    holds the chunk's lines and `pos` the index of the next one to read.
-    Iterating yields that line with its end, which is how csv.reader reads;
-    `split_rest` reads the rest of the chunk at once where it can.
-
-    A chunk whose lines all end in LF, or all in CRLF, is split at that
-    end. Any other chunk with a CR is cut at CR, LF and CRLF, each line
-    keeping its end, and only csv.reader reads it.
-    """
-
-    def __init__(self, source):
-        self._stream, self._owned = _open(source)
-        self._carry = b""  # bytes read past the last line end
-        self._offset = 0  # stream offset of the chunk being read
-        self._fault = None  # a UTF-8 error, raised once the lines before it are read
-        self.lines: list = []
-        self.pos = 0
-        self.before = 0  # lines of the earlier chunks
-        self.width = 0  # the header's field count, set once it is read
-        self._end = "\n"  # the chunk's line end, None where `lines` keep their own
-        self._open_end = False  # whether the chunk's last line has no end
-        self._splittable = False  # whether split_rest may read the chunk
-        self._quoted = False  # whether the chunk holds a quote
-
-    @property
-    def read(self) -> int:
-        """Lines read so far; the number of the line read last."""
-        return self.before + self.pos
-
-    def close(self) -> None:
-        if self._owned:
-            self._stream.close()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        while self.pos == len(self.lines):
-            if not self.next_chunk():
-                raise StopIteration
-        line = self.lines[self.pos]
-        self.pos += 1
-        if self._end is None or (self._open_end and self.pos == len(self.lines)):
-            return line
-        return line + self._end
-
-    def _chunk(self) -> str | None:
-        """The text of the next chunk of whole lines; None at the end of the
-        stream."""
-        if self._fault is not None:
-            raise self._fault
-        data = self._stream.read(CHUNK_BYTES)
-        buf = self._carry + data
+def _chunks(stream):
+    """The text of each chunk of the byte stream: about CHUNK_BYTES read at
+    a time, cut after its last line end and decoded whole. A byte that is
+    not UTF-8 is a ParseError, raised once the text of the lines before it
+    is yielded."""
+    carry, offset = b"", 0  # bytes read past the last line end; stream offset of the next chunk
+    while True:
+        data = stream.read(CHUNK_BYTES)
+        buf = carry + data
         while data and b"\n" not in data:  # a line longer than a chunk
-            data = self._stream.read(CHUNK_BYTES)
+            data = stream.read(CHUNK_BYTES)
             buf += data
         cut = buf.rfind(b"\n") + 1 if data else len(buf)
-        chunk, self._carry = buf[:cut], buf[cut:]
+        chunk, carry = buf[:cut], buf[cut:]
+        del buf, data  # no bytes but the carry live on while the text is parsed
         if not chunk:
-            return None
+            return
         try:
             text = chunk.decode("utf-8")
         except UnicodeDecodeError as exc:
-            self._fault = ParseError(
-                f"CSV is not UTF-8: invalid byte at offset {self._offset + exc.start}"
-            )
-            chunk = chunk[: chunk.rfind(b"\n", 0, exc.start) + 1]
-            if not chunk:
-                raise self._fault from None
-            text = chunk.decode("utf-8")
-        self._offset += len(chunk)
-        return text
+            text = chunk[: chunk.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+            if text:
+                yield text
+            raise ParseError(f"CSV is not UTF-8: invalid byte at offset {offset + exc.start}") from None
+        offset += len(chunk)
+        del chunk
+        yield text
+        del text  # freed once the caller is done with it
 
-    def next_chunk(self) -> bool:
-        """Move to the next chunk; False at the end of the stream."""
-        self.before += len(self.lines)
-        self.lines, self.pos = [], 0
-        text = self._chunk()
-        if text is None:
-            return False
-        if "\r" not in text:
-            self._end = "\n"
-        elif text.count("\r") == text.count("\r\n") == text.count("\n"):
-            self._end = "\r\n"
-        else:
-            self._end = None
-        if self._end is None:
-            self.lines = io.StringIO(text, newline="").readlines()
-        else:
-            self.lines = text.split(self._end)
-            self._open_end = self.lines[-1] != ""
-            if not self._open_end:
-                self.lines.pop()
-        # csv.reader alone reads mixed line ends, a blank line (no fields),
-        # NUL (an error before Python 3.11) and a field past its size limit.
-        self._splittable = not (
-            self._end is None
-            or "\0" in text
-            or "" in self.lines
-            or len(text) > csv.field_size_limit()
-        )
-        self._quoted = '"' in text
-        return True
 
-    def split_rest(self) -> list | None:
-        """The fields of the chunk's lines from pos on, if each is one record
-        of `width` fields, and pos moved past them; else None, and csv.reader
-        must read them one by one. One str.split reads each quote-free line,
-        and one strict csv.reader pass the lines with a quote, each of which
-        must be a whole record. Strict, the reader raises at a quote left
-        open at the last such line, which may close in a line it was not
-        given."""
-        if not self._splittable:
+def _split(text: str, width: int) -> list | None:
+    """The fields, concatenated, of a chunk's text if each of its lines is
+    one record of `width` fields; else None, and csv.reader must read it.
+
+    The lines must all end in LF, or all in CRLF; csv.reader alone reads
+    mixed line ends, a blank line (no fields), NUL (an error before Python
+    3.11) and a field past its size limit. One str.split reads each
+    quote-free line, and one strict csv.reader pass the lines with a quote,
+    each of which must be a whole record. Strict, the reader raises at a
+    quote left open at the last such line, which may close in a line it was
+    not given.
+    """
+    if "\r" not in text:
+        end = "\n"
+    elif text.count("\r") == text.count("\r\n") == text.count("\n"):
+        end = "\r\n"
+    else:
+        return None
+    if "\0" in text or len(text) > csv.field_size_limit():
+        return None
+    lines = text.split(end)
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line; a last line without one is kept
+    if "" in lines:
+        return None
+    rows = list(map(str.split, lines, itertools.repeat(",")))
+    if '"' in text:
+        quoted = [i for i, line in enumerate(lines) if '"' in line]
+        try:
+            records = list(csv.reader([lines[i] for i in quoted], strict=True))
+        except csv.Error:
             return None
-        rest = self.lines[self.pos :]
-        rows = list(map(str.split, rest, itertools.repeat(",")))
-        if self._quoted:
-            odd = [i for i, line in enumerate(rest) if '"' in line]
-            try:
-                records = list(csv.reader([rest[i] for i in odd], strict=True))
-            except csv.Error:
-                return None
-            if len(records) != len(odd):
-                return None  # a record spans lines
-            for i, record in zip(odd, records):
-                rows[i] = record
-        if set(map(len, rows)) != {self.width}:
-            return None
-        self.pos = len(self.lines)
-        return list(itertools.chain.from_iterable(rows))
+        if len(records) != len(quoted):
+            return None  # a record spans lines
+        for i, record in zip(quoted, records):
+            rows[i] = record
+    del lines  # not held beside the joined fields
+    if set(map(len, rows)) != {width}:
+        return None
+    return list(itertools.chain.from_iterable(rows))
+
+
+def _records(text: str, chunks, line: int):
+    """csv.reader's records from the chunk `text` on, each with the number
+    of the line it ends on; `line` lines come before the chunk. The reader
+    reads on into later chunks while a record spans them, and stops after
+    the first record that ends at a chunk end. ParseError at malformed CSV.
+    """
+    at_end = False  # whether the line read last ends a chunk
+
+    def feed(text):
+        nonlocal at_end
+        while text is not None:
+            # Each line keeps its end, cut at CR, LF and CRLF, as csv.reader reads.
+            lines = io.StringIO(text, newline="").readlines()
+            last = len(lines) - 1
+            for i, line in enumerate(lines):
+                at_end = i == last
+                yield line
+            text = next(chunks, None)
+
+    reader = csv.reader(feed(text))
+    try:
+        for record in reader:
+            yield record, line + reader.line_num
+            if at_end:
+                return
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV at line {line + reader.line_num}: {exc}") from exc
 
 
 class _Columns:
     """The parsed spec columns, built from batches of records.
 
-    `add` gathers records as one flat list of fields, `flush` parses each
-    column of the gathered batch from its stride slice of that list.
+    Each batch comes as one flat list of its records' fields, and each
+    column is parsed from its stride slice of that list.
     """
 
     def __init__(self, specs, positions, width: int):
         self.specs, self.positions, self.width = specs, positions, width
-        self.fields: list = []
-        self.starts: list = []  # per add(): the row of its first record
-        self.line_nos: list = []  # per add(): the line its first record ends on
         numeric = [s.kind == "numeric" for s in specs]
         self.raw = [None if n else {} for n in numeric]
         self.levels = [None if n else {"": -1} for n in numeric]
@@ -463,23 +425,12 @@ class _Columns:
         # the end: no parsed batch is held beside the joined column.
         self.data = [array.array("d" if n else "q") for n in numeric]
 
-    def add(self, fields: list, line: int) -> None:
-        """Gather the fields, concatenated, of one-line records on the lines
-        from `line` on, or of one record that ends on `line`."""
-        self.starts.append(len(self.fields) // self.width)
-        self.line_nos.append(line)
-        self.fields += fields
-
-    def _line_of(self, row: int) -> int:
-        i = bisect.bisect_right(self.starts, row) - 1
-        return self.line_nos[i] + row - self.starts[i]
-
-    def flush(self) -> None:
-        """Parse the batch; ParseError at its first non-finite numeric cell
-        (by row, then by column in spec order)."""
-        fields, width, fault = self.fields, self.width, None
-        if not fields:
-            return
+    def add(self, fields: list, lines) -> None:
+        """Parse a batch of records given as their fields, concatenated;
+        lines[i] is the line that record i ends on. ParseError at the
+        batch's first non-finite numeric cell (by row, then by column in
+        spec order)."""
+        width, fault = self.width, None
         for spec, p, raw, levels, data in zip(
             self.specs, self.positions, self.raw, self.levels, self.data
         ):
@@ -498,9 +449,27 @@ class _Columns:
             row, spec, cell = fault
             raise ParseError(
                 f"numeric column {spec.name!r} holds the non-finite value "
-                f"{cell.strip()!r} at line {self._line_of(row)}"
+                f"{cell.strip()!r} at line {lines[row]}"
             )
-        self.fields, self.starts, self.line_nos = [], [], []
+
+    def read(self, records, line: int) -> int:
+        """Parse _records' records as one batch; the number of the line the
+        last of them ends on, `line` if there is none."""
+        fields, lines = [], []
+        try:
+            for record, line in records:
+                if len(record) != self.width:
+                    raise ParseError(
+                        f"malformed CSV at line {line}: "
+                        f"expected {self.width} fields, got {len(record)}"
+                    )
+                fields += record
+                lines.append(line)
+        except ParseError:
+            self.add(fields, lines)  # a fault in an earlier record is raised first
+            raise
+        self.add(fields, lines)
+        return line
 
     def columns(self) -> tuple:
         """The parsed columns. A categorical's codes are renumbered into a
@@ -533,21 +502,26 @@ def load_csv(source, specs, allow_extra: bool = False, skip_dropped: bool = Fals
     a wrong field count, then the first non-finite numeric cell in spec
     order.
 
-    The stream is read about CHUNK_BYTES at a time. Where each of a
-    chunk's records fits on one line, str.split reads its quote-free lines
-    and one csv.reader pass its quoted ones; csv.reader reads any other
-    chunk record by record, with the records that span lines.
+    The stream is read about CHUNK_BYTES at a time (_chunks). _split reads
+    each chunk whose records each fit on one line. csv.reader reads the
+    header and the rest of the first chunk, and any chunk _split refuses,
+    record by record: it reads on into later chunks while a record spans
+    them, up to the first record that ends at a chunk end.
     """
     specs = validate_schema(specs)
-    lines = _Lines(source)
+    stream, owned = _open(source)
     try:
-        reader = csv.reader(lines)
+        chunks = _chunks(stream)
+        records = _records(next(chunks, ""), chunks, 0)
         try:
-            header = next(reader)
+            header, line = next(records)
         except StopIteration:
             raise ParseError("CSV has no header row") from None
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV at line 1: {exc}") from exc
+        except ParseError as exc:
+            if not isinstance(exc.__cause__, csv.Error):
+                raise  # a byte that is not UTF-8
+            # The header is reported at its first line, even where it spans lines.
+            raise ParseError(f"malformed CSV at line 1: {exc.__cause__}") from exc.__cause__
 
         names = {s.name for s in specs}
         # Only the spec's columns are read, so only their names must be unique.
@@ -563,39 +537,22 @@ def load_csv(source, specs, allow_extra: bool = False, skip_dropped: bool = Fals
 
         if skip_dropped:
             specs = tuple(s for s in specs if s.role != "drop" or s.kind == "numeric")
-        width = lines.width = len(header)
+        width = len(header)
         parsed = _Columns(specs, [header.index(s.name) for s in specs], width)
-        fault, tried = None, None
-        try:
-            while True:
-                if lines.pos == len(lines.lines):
-                    parsed.flush()
-                    if not lines.next_chunk():
-                        break
-                if tried != lines.before:  # the first visit to this chunk
-                    tried, first = lines.before, lines.read + 1
-                    fields = lines.split_rest()
-                    if fields is not None:
-                        parsed.add(fields, first)
-                        del fields  # parsed holds the batch alone, until its flush
-                        continue
-                try:
-                    record = next(reader)
-                except csv.Error as exc:
-                    raise ParseError(f"malformed CSV at line {lines.read}: {exc}") from exc
-                if len(record) != width:
-                    raise ParseError(
-                        f"malformed CSV at line {lines.read}: "
-                        f"expected {width} fields, got {len(record)}"
-                    )
-                parsed.add(record, lines.read)
-        except ParseError as exc:
-            fault = exc
-        parsed.flush()  # a fault in an earlier record is raised first
-        if fault is not None:
-            raise fault
+        line = parsed.read(records, line)
+        for text in chunks:
+            fields = _split(text, width)
+            if fields is None:
+                line = parsed.read(_records(text, chunks, line), line)
+                continue
+            del text
+            n = len(fields) // width
+            parsed.add(fields, range(line + 1, line + 1 + n))
+            del fields  # not held while the next chunk is split
+            line += n
     finally:
-        lines.close()
+        if owned:
+            stream.close()
     return RawLoanTable(schema=specs, columns=parsed.columns())
 
 

@@ -52,26 +52,35 @@ class _Coded(NamedTuple):
     and the ranks of one feature lie above those of the features before it.
     So one code carries a value's order and feature and the row's label.
     span exceeds every code.
+
+    rounds is whether some feature has two consecutive distinct values
+    whose midpoint rounds onto the upper one. Only adjacent floats can do
+    that, and two values adjacent as floats are consecutive among any of
+    the feature's values, a node's rows included: without rounds, no cut
+    of any node rounds.
     """
 
     code: np.ndarray
     values: np.ndarray
     span: int
     y: np.ndarray
+    rounds: bool
 
 
 def _coded(x, y) -> _Coded:
     n, n_cols = x.shape
     # Ranks are below n * n_cols, so int32 codes hold any matrix of under 2**30 cells.
     code = np.empty((n_cols, n), dtype=np.int32 if n * n_cols < 2**30 else np.int64)
-    levels, base = [], 0
+    levels, base, rounds = [], 0, False
     for f in range(n_cols):
         values, rank = np.unique(x[:, f], return_inverse=True)
         rank += base
         np.add(2 * rank, y, out=code[f], casting="unsafe")
         levels.append(values)
         base += values.size
-    return _Coded(code, np.concatenate(levels) if levels else np.zeros(0), 2 * base, y)
+        with np.errstate(over="ignore"):  # a midpoint past the float range rounds onto nothing
+            rounds = rounds or bool(np.any((values[:-1] + values[1:]) / 2.0 == values[1:]))
+    return _Coded(code, np.concatenate(levels) if levels else np.zeros(0), 2 * base, y, rounds)
 
 
 def _search(coded: _Coded, rows, sizes, feats, criterion):
@@ -83,9 +92,10 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     raised by i * span, and one sort orders every segment by value. A cut
     between sorted positions p and p + 1 of a segment is a candidate where
     the two values differ, at their midpoint; the class counts on either
-    side of it do not depend on how equal values are ordered. Within a
-    node, ties break toward the lowest feature row, then the lowest
-    threshold.
+    side of it do not depend on how equal values are ordered. A cut is
+    scored on the rows it sends left, which are the upper value's rows too
+    where the midpoint rounds onto the upper value. Within a node, ties
+    break toward the lowest feature row, then the lowest threshold.
 
     Returns, over the nodes i with a candidate, in order: i; the winning
     row of feats[i]; the threshold; the highest rank that goes left
@@ -132,13 +142,25 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     # then each node.
     c = cand.size
     of = table.reshape(4, m * k).repeat(count, axis=1)
+    # The last sorted position each candidate sends left: its own, or where
+    # its midpoint rounds onto the upper value, the segment's next
+    # candidate or its last position.
+    end = cand
+    if coded.rounds:
+        seg_of = np.arange(m * k).repeat(count)
+        lift = seg_of // k * (span // 2)
+        hi = coded.values[key[cand + 1] - lift]
+        rounded = (coded.values[key[cand] - lift] + hi) / 2.0 == hi
+        end = np.where(rounded, np.minimum(np.append(cand[1:], key.size), seg_end[seg_of] - 1), cand)
     n, n1 = np.empty(2 * c + m), np.empty(2 * c + m)
-    np.subtract(cand, of[0], out=n[:c])
-    np.subtract(cum.take(cand), of[1], out=n1[:c])
+    np.subtract(end, of[0], out=n[:c])
+    np.subtract(cum.take(end), of[1], out=n1[:c])
     np.subtract(of[2], n[:c], out=n[c : 2 * c])
     np.subtract(of[3], n1[:c], out=n1[c : 2 * c])
     n[2 * c :], n1[2 * c :] = table[2, :, 0], table[3, :, 0]
-    impurity = _impurity(n, n1, criterion)
+    # A rounded cut can leave its right side empty: that side weighs 0, and
+    # its impurity is taken as one negative row's, 0, rather than 0 / 0.
+    impurity = _impurity(np.maximum(n, 1) if coded.rounds else n, n1, criterion)
     weighted = n[: 2 * c].reshape(2, c) / of[2]
     weighted *= impurity[: 2 * c].reshape(2, c)
     gains = impurity[2 * c :].repeat(per_node)
@@ -152,19 +174,11 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     top = np.maximum.reduceat(gains, first) if won.size else gains[:0]
     hits = (gains == top.repeat(per_node[won])).nonzero()[0]
     hit = hits[hits.searchsorted(first)]
-    p = cand[hit]
+    p, q = cand[hit], end[hit]
     seg = start.searchsorted(p, side="right") - 1
     base = won * (span // 2)
-    bound, hi_rank = key[p] - base, key[p + 1] - base
-    hi = coded.values[hi_rank]
-    cut = (coded.values[bound] + hi) / 2.0
-    rounded = cut == hi
-    if np.count_nonzero(rounded):
-        # The upper value goes left too, and so do the rows up to the
-        # segment's next candidate, or its end.
-        end = np.minimum(np.append(cand, key.size)[hit + 1], seg_end[seg] - 1)
-        p, bound = np.where(rounded, end, p), np.where(rounded, hi_rank, bound)
-    return won, seg - won * k, cut, bound, gains[hit], p - start[seg] + 1, cum[p] - table[1].flat[seg]
+    cut = (coded.values[key[p] - base] + coded.values[key[p + 1] - base]) / 2.0
+    return won, seg - won * k, cut, key[q] - base, gains[hit], q - start[seg] + 1, cum[q] - table[1].flat[seg]
 
 
 def _check_rows(rows, n: int) -> np.ndarray:

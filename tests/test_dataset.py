@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import os
 import random
 import statistics
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_table
+from conftest import LOAN_HEADER, build_table, make_loan_rows
 from creditworks import (
     ColumnSpec,
     DesignMatrix,
@@ -116,6 +117,13 @@ def test_load_csv_ragged_row_reports_line():
 def test_load_csv_duplicate_header():
     with pytest.raises(SchemaError):
         load_csv(_csv("loan_amnt,loan_amnt,purpose,loan_status\n1,2,car,x\n"), THREE_COL)
+
+
+def test_load_csv_malformed_header_is_reported_at_line_1():
+    # The header spans two lines, and csv.reader fails on the second.
+    big = "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(ParseError, match="^malformed CSV at line 1: field larger than field limit"):
+        load_csv(_csv(f'loan_amnt,"purpose\n{big}",loan_status\n1,car,Fully Paid\n'), THREE_COL)
 
 
 def test_load_csv_allow_extra_ignores_duplicate_names_outside_the_spec():
@@ -910,6 +918,21 @@ def _books(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(data=_books(), chunk_bytes=st.integers(1, 48), skip_dropped=st.booleans())
+# A quote left open to the end of the file, after one-line records.
+@example(
+    data=(INGEST_HEADER + "\n" + "1,car,7,eng,5%,Fully Paid\n" * 2 + '1,"car,7,x,1,Fully Paid\n').encode(),
+    chunk_bytes=1, skip_dropped=False,
+)
+# A byte that is not UTF-8 in a record that spans a chunk cut.
+@example(
+    data=(INGEST_HEADER + "\n" + '1,"two\nlines",7,eng,5%,Fully Paid\n').encode() + b'1,"ca\nf\xff",7,x,1,Current\n',
+    chunk_bytes=8, skip_dropped=False,
+)
+# A CRLF file whose last line has no line end.
+@example(
+    data=(INGEST_HEADER + "\r\n" + "1,car,7,eng,5%,Fully Paid\r\n" * 3 + '2,"Nurse, RN",8,x,,Current').encode(),
+    chunk_bytes=40, skip_dropped=True,
+)
 def test_chunked_ingest_equals_the_record_oracle(data, chunk_bytes, skip_dropped):
     # Chunks of a few bytes cut inside quoted records that span lines.
     want = _ref_outcome(data, INGEST_SPECS, skip_dropped)
@@ -950,6 +973,63 @@ def test_the_first_faulty_record_decides_the_error(data, message, chunk_bytes):
         with pytest.raises(ParseError) as info:
             load_csv(data, INGEST_SPECS, allow_extra=True)
     assert str(info.value) == message
+
+
+def _recorded_parse(monkeypatch, data, chunk_bytes, specs, **options):
+    """load_csv of data in chunks of about chunk_bytes: (its outcome, every
+    chunk's text, and (text, whether _split read it) per _split call)."""
+    chunks, splits = [], []
+    real_chunks, real_split = dataset._chunks, dataset._split
+
+    def split(text, width):
+        fields = real_split(text, width)
+        splits.append((text, fields is not None))
+        return fields
+
+    monkeypatch.setattr(dataset, "_chunks", lambda stream: (chunks.append(t) or t for t in real_chunks(stream)))
+    monkeypatch.setattr(dataset, "_split", split)
+    monkeypatch.setattr(dataset, "CHUNK_BYTES", chunk_bytes)
+    try:
+        outcome = load_csv(data, specs, **options)
+    except ParseError as exc:
+        outcome = exc
+    return outcome, chunks, splits
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_bench_shaped_books_stay_on_the_splitter(monkeypatch, end):
+    # The book shape bench/gen.py writes: quoted "Nurse, RN" cells on one
+    # line, rates as "13.5%" and blank cells. The oracle compares outputs
+    # only, so a parse that left every chunk to csv.reader would pass it.
+    rng = random.Random(2)
+    rows = make_loan_rows(300, seed=2)
+    for row in rows:
+        row[2] = f"{row[2]}%" if rng.random() < 0.5 else row[2]
+        row[4] = rng.choice(["teacher", "Nurse, RN", "pilot", ""])
+        row[10] = "" if rng.random() < 0.1 else row[10]
+    out = io.StringIO()
+    csv.writer(out, lineterminator=end).writerows([LOAN_HEADER, *rows])
+    table, chunks, splits = _recorded_parse(monkeypatch, out.getvalue().encode(), 512, default_column_specs())
+    assert table.row_count == len(rows)
+    assert len(chunks) > 50
+    assert splits == [(text, True) for text in chunks[1:]]
+
+
+def test_the_splitter_reads_on_after_a_record_that_spans_chunks(monkeypatch):
+    # csv.reader reads the record whose quoted cell spans chunks, and on
+    # up to the first chunk end on which a record ends; _split reads every
+    # chunk after it. A non-finite cell there is reported at its line.
+    spanning = '1,"' + "line\n" * 8 + '",7,eng,5%,Fully Paid\n'
+    data = _HEAD + _ROW * 3 + spanning + _ROW * 12 + "inf,car,7,eng,5%,Current\n" + _ROW * 3
+    outcome, chunks, splits = _recorded_parse(monkeypatch, data.encode(), 16, INGEST_SPECS, allow_extra=True)
+    assert str(outcome) == _ref_outcome(data.encode(), INGEST_SPECS)[1]
+    assert str(outcome).endswith("at line 26")
+    ends = list(itertools.accumulate(map(len, chunks)))
+    begin = len(_HEAD + _ROW * 3)
+    first = next(i for i, e in enumerate(ends) if e > begin)  # the spanning record starts in it
+    last = next(i for i, e in enumerate(ends) if e >= begin + len(spanning))  # a record ends at its end
+    assert last - first >= 2
+    assert splits == [(text, i != first) for i, text in enumerate(chunks) if 0 < i <= first or i > last]
 
 
 def test_blank_line_in_a_one_column_book_has_no_fields():

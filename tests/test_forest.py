@@ -353,6 +353,61 @@ def test_lockstep_equals_one_node_a_step_where_midpoints_round(seed):
             assert np.array_equal(getattr(together, name), getattr(alone, name)), name
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 40),
+    d=st.integers(1, 3),
+    criterion=st.sampled_from(CRITERIA),
+    feature_subsample=st.sampled_from([None, 1, 2]),
+)
+def test_fit_cart_equals_reference_cart_where_midpoints_round(seed, n, d, criterion, feature_subsample):
+    # Three floats one apart and two far from them: a cut whose midpoint
+    # rounds onto the upper value is scored on the rows it sends left.
+    a = 1.0 + 2.0**-52
+    grid = np.array([a, np.nextafter(a, 2.0), np.nextafter(np.nextafter(a, 2.0), 2.0), 1.5, 2.0])
+    rng = np.random.default_rng(seed)
+    x = grid[rng.integers(0, grid.size, size=(n, d))]
+    y = rng.integers(0, 2, size=n)
+    params = CartParams(criterion=criterion, feature_subsample=feature_subsample)
+    tree = fit_cart(x, y, params, np.random.default_rng(seed + 1))
+    want = _reference_cart(x, y, params, np.random.default_rng(seed + 1))
+    for name in TREE_ARRAYS:
+        assert getattr(tree, name).tolist() == want[name], name
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lo=st.floats(allow_nan=False, allow_infinity=False),
+    hi=st.floats(allow_nan=False, allow_infinity=False),
+    steps=st.integers(2, 4),
+)
+def test_only_adjacent_floats_have_a_midpoint_that_rounds_onto_the_upper_one(lo, hi, steps):
+    # The search skips the rounding check when no feature has two
+    # consecutive values whose midpoint rounds: a node's consecutive values
+    # that are not consecutive in the feature have a float between them.
+    near = lo
+    for _ in range(steps):
+        near = math.nextafter(near, math.inf)
+    for lo, hi in ((lo, near), (min(lo, hi), max(lo, hi))):
+        if math.nextafter(lo, math.inf) < hi < math.inf:
+            assert (lo + hi) / 2.0 != hi
+
+
+def test_the_rounding_check_changes_no_tree_where_no_midpoint_rounds():
+    x, y = _tie_heavy_data(12, n=200)
+    coded = forest._coded(x, y)
+    assert not coded.rounds
+    params = CartParams(feature_subsample=2, max_depth=8)
+
+    def grow(codes):
+        return forest._grow(codes, params, ((np.random.default_rng((6, t)), np.arange(200)) for t in range(3)))
+
+    for a, b in zip(grow(coded), grow(coded._replace(rounds=True))):
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 @pytest.mark.parametrize("criterion", CRITERIA)
 def test_fit_cart_matches_recursive_reference(criterion):
     for seed in range(4):

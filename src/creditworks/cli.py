@@ -37,9 +37,9 @@ from .errors import (
 
 DEFAULT_MODEL_FILE = "model.json"
 
-# Rows per block of prediction and of writing a matrix or a CSV: bounds the
-# scaled copy a logistic model needs and the Python numbers a CSV is written from.
-PREDICT_ROWS = 4096
+# Rows per block of writing a CSV: bounds the Python numbers it is written
+# from. Dense design-matrix rows come in dataset.block_rows blocks.
+WRITE_ROWS = 4096
 
 
 def _stamp() -> dict:
@@ -277,13 +277,11 @@ def _predictions(model_path: Path, matrix: dataset.DesignMatrix):
     """(kind, pd, labels) of the model file's predictions on the matrix's rows."""
     kind, model, scaler = _load_model(model_path)
     _check_columns(model.columns, matrix, model_path)
-    # Block by block, so a logistic model scales a block's copy, not the matrix's.
+    if scaler is not None:
+        matrix = features.apply_scaler(scaler, matrix)
     pd_scores = np.empty(matrix.n_rows)
-    for start in range(0, matrix.n_rows, PREDICT_ROWS):
-        block = matrix.x[start : start + PREDICT_ROWS]
-        if scaler is not None:
-            block = scaler.transform(block)
-        pd_scores[start : start + PREDICT_ROWS] = model.predict_proba(block)
+    for start, rows in dataset.row_blocks(matrix):
+        pd_scores[start : start + len(rows)] = model.predict_proba(rows)
     threshold = model.config.threshold if kind == "logreg" else 0.5
     return kind, pd_scores, (pd_scores >= threshold).astype(np.int64)
 
@@ -328,24 +326,21 @@ def _write_numbers(path: Path, header: list, line: str, rows) -> None:
 
 def _numbered_rows(*columns):
     """(id, *values) rows of equal-length arrays, as Python numbers made
-    PREDICT_ROWS rows at a time rather than whole columns at once."""
-    for start in range(0, len(columns[0]), PREDICT_ROWS):
-        stop = start + PREDICT_ROWS
+    WRITE_ROWS rows at a time rather than whole columns at once."""
+    for start in range(0, len(columns[0]), WRITE_ROWS):
+        stop = start + WRITE_ROWS
         yield from zip(range(start, stop), *(c[start:stop].tolist() for c in columns))
 
 
-def _save_rows(path: Path, array: np.ndarray, rows: np.ndarray) -> None:
-    """np.save(path, array[rows]), the same bytes, without the copy of
-    array[rows]: the .npy header, then PREDICT_ROWS rows at a time."""
-    header = {
-        "descr": np.lib.format.dtype_to_descr(array.dtype),
-        "fortran_order": False,
-        "shape": (rows.size, *array.shape[1:]),
-    }
+def _save_matrix(path: Path, matrix: dataset.DesignMatrix) -> None:
+    """np.save(path, matrix.x), the same bytes, without the dense matrix:
+    the .npy header, then the matrix's dense rows block by block."""
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
+    header = {"descr": descr, "fortran_order": False, "shape": matrix.shape}
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        for start in range(0, rows.size, PREDICT_ROWS):
-            fh.write(array[rows[start : start + PREDICT_ROWS]])
+        for _, rows in dataset.row_blocks(matrix):
+            fh.write(rows)
 
 
 def cmd_explore(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
@@ -377,26 +372,24 @@ def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     halves = _split_rows(cfg, matrix.n_rows)
     prep = out / "prepared"
     prep.mkdir(parents=True, exist_ok=True)
-    # Each half is written out of the matrix by row blocks, never copied whole.
     for half, rows in halves.items():
-        _save_rows(prep / f"x_{half}.npy", matrix.x, rows)
-        _save_rows(prep / f"y_{half}.npy", matrix.y, rows)
-    columns = matrix.columns
-    del matrix
-    # The scaler is fitted on the training half read back, once the matrix is freed.
-    train = dataset.DesignMatrix(columns, np.load(prep / "x_train.npy"), np.load(prep / "y_train.npy"))
+        part = matrix.take(rows)
+        _save_matrix(prep / f"x_{half}.npy", part)
+        np.save(prep / f"y_{half}.npy", part.y)
+        if half == "train":
+            scaler = features.fit_scaler(part)
     _write_json(
         prep / "columns.json",
         {
-            "columns": list(columns),
+            "columns": list(matrix.columns),
             "seed": cfg["seed"],
             "test_fraction": _finite(cfg.get("test_fraction", 0.2), "config 'test_fraction'"),
-            "train_rows": train.n_rows,
+            "train_rows": halves["train"].size,
             "test_rows": halves["test"].size,
         },
     )
     _write_json(prep / "encode_report.json", encode_report.to_json_dict())
-    _write_json(prep / "scaler.json", features.fit_scaler(train).to_json_dict())
+    _write_json(prep / "scaler.json", scaler.to_json_dict())
     print(f"wrote {prep}/x_train.npy y_train.npy x_test.npy y_test.npy")
     print(f"wrote {prep / 'columns.json'} encode_report.json scaler.json")
     return 0
@@ -404,17 +397,16 @@ def cmd_prepare(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
 
 def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     kind, model_cfg = _model_config(cfg, cfg["seed"])
-    # Only the training rows are encoded; the tables are freed before the fit.
+    # Only the training rows are taken from the table, which is freed before the fit.
     train = _load(cfg, base, "train")[0]
 
     if kind == "logreg":
         from . import logreg
 
         scaler = features.fit_scaler(train)
-        # The matrix is this command's own: it is scaled in place, not copied.
-        train.x.setflags(write=True)
-        x = scaler.transform_in_place(train.x)
-        model = logreg.fit_logreg(x, train.y, model_cfg, columns=train.columns)
+        # Each pass of the fit builds the scaled rows block by block.
+        scaled = features.apply_scaler(scaler, train)
+        model = logreg.fit_logreg(scaled, train.y, model_cfg, columns=train.columns)
         payload = model.to_json_dict()
         payload["scaler"] = scaler.to_json_dict()
         history = [[i, v] for i, v in model.history]
@@ -422,7 +414,7 @@ def cmd_train(cfg: dict, base: Path, out: Path, model_path: Path) -> int:
     else:
         from . import forest
 
-        model = forest.fit_forest(train.x, train.y, model_cfg, columns=train.columns)
+        model = forest.fit_forest(train, train.y, model_cfg, columns=train.columns)
         payload = forest.forest_to_json_dict(model)
         log = {"n_trees": model.n_trees, "trees": [t.stats() for t in model.trees]}
 

@@ -648,52 +648,180 @@ class EncodeReport:
         }
 
 
-@dataclass(frozen=True)
+# Cells of one block of dense design-matrix rows, 512 KiB of float64. Every
+# command takes the matrix's rows one block at a time (predictions, the
+# prepared .npy halves, the scaler, the correlations, the Newton passes), so
+# a block is the largest dense array of the matrix that any of them holds.
+# That is 1,191 rows of a 55-column matrix: a 20k-row logistic train (a
+# bench/gen.py book of 14 purposes and 35 sub_grades) peaked at 42.9 MB
+# through bench/launch.py, against 44.4 MB with blocks of 4,096 rows.
+BLOCK_CELLS = 1 << 16
+
+
+def block_rows(n_cols: int) -> int:
+    """Rows per block of dense design-matrix rows of n_cols columns."""
+    return max(1, BLOCK_CELLS // max(n_cols, 1))
+
+
+class FrameColumn(NamedTuple):
+    """One feature of a design matrix's model frame.
+
+    With levels 0, values are numbers: a float64 column, or a 2-D float64
+    block of columns. Otherwise values are the level codes of a category of
+    that many levels, which the matrix holds as levels - 1 dummy columns:
+    level 0 is the baseline, and level i is 1.0 in the i-th dummy column.
+    """
+
+    values: np.ndarray
+    levels: int
+
+    @property
+    def width(self) -> int:
+        if self.levels:
+            return self.levels - 1
+        return 1 if self.values.ndim == 1 else self.values.shape[1]
+
+
 class DesignMatrix:
-    """Numeric feature matrix with a binary default target (1 = charged off)."""
+    """Numeric feature matrix with a binary default target (1 = charged off).
 
-    columns: tuple[str, ...]
-    x: np.ndarray
-    y: np.ndarray
+    It holds its model frame, not the matrix: the feature columns and
+    category codes of its rows, from which dense(start, stop) builds any
+    range of the matrix's rows (Chambers & Hastie 1992, *Statistical Models
+    in S*, ch. 2). DesignMatrix(columns, x, y) of a dense 2-D x is the
+    all-numeric case, one frame column of x's columns. A standardized
+    matrix (see standardized) builds every row as (row - mean) / scale.
+    """
 
-    def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=np.float64))
-        y = np.asarray(self.y)
+    def __init__(self, columns, x, y):
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise DataError("design matrix must be 2-D")
-        if x.shape[1] != len(self.columns):
-            raise DataError(f"{x.shape[1]} matrix columns vs {len(self.columns)} names")
-        if y.shape != (x.shape[0],):
+        self._build(columns, (FrameColumn(np.ascontiguousarray(x), 0),), y, None)
+
+    @classmethod
+    def of_frame(cls, columns, frame, y, scaling=None) -> "DesignMatrix":
+        """The matrix of a model frame (FrameColumns, in column order) whose
+        rows are labelled y; scaling is None or (mean, scale) per column."""
+        matrix = cls.__new__(cls)
+        matrix._build(columns, tuple(frame), y, scaling)
+        return matrix
+
+    def _build(self, columns, frame, y, scaling) -> None:
+        columns = tuple(columns)
+        width = sum(f.width for f in frame)
+        if width != len(columns):
+            raise DataError(f"{width} matrix columns vs {len(columns)} names")
+        y = np.asarray(y)
+        if y.ndim != 1 or any(len(f.values) != y.size for f in frame):
             raise DataError("target length does not match row count")
-        if not np.all(np.isfinite(x)):
-            raise DataError("design matrix contains non-finite values")
+        kept = []
+        for values, levels in frame:
+            if levels == 0 and not np.all(np.isfinite(values)):
+                raise DataError("design matrix contains non-finite values")
+            if levels and values.size and (values.min() < 0 or values.max() >= levels):
+                raise DataError(f"level codes outside [0, {levels})")
+            values = values.view()
+            values.setflags(write=False)
+            kept.append(FrameColumn(values, levels))
         # Checked as values, before the cast, so that 0.5 is no 0.
         if not np.isin(y, (0, 1)).all():
             raise DataError("target vector must be binary")
         y = np.asarray(y, dtype=np.int64)
-        x.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        self.columns, self.frame, self.y, self.scaling = columns, tuple(kept), y, scaling
 
     @property
     def n_rows(self) -> int:
-        return self.x.shape[0]
+        return self.y.size
 
     @property
     def n_cols(self) -> int:
-        return self.x.shape[1]
+        return len(self.columns)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_cols
+
+    def dense(self, start: int, stop: int, out=None) -> np.ndarray:
+        """Rows start:stop (cut at the last row) as float64, bit-equal to
+        those rows of the dense matrix. They are written into the first rows
+        of out, a C-contiguous float64 array of n_cols columns, when given,
+        else into a new array."""
+        stop = min(stop, self.n_rows)
+        m, k = max(stop - start, 0), self.n_cols
+        rows = np.empty((m, k)) if out is None else out[:m]
+        if any(f.levels for f in self.frame):
+            rows.fill(0.0)
+        flat = rows.reshape(-1)
+        j = 0
+        for values, levels in self.frame:
+            if levels:
+                # A 1.0 per row whose level is not the baseline, scattered
+                # into that level's column.
+                codes = values[start:stop]
+                hit = codes.nonzero()[0]
+                flat.put(hit * k + codes.take(hit) + (j - 1), 1.0)
+                j += levels - 1
+            elif values.ndim == 1:
+                rows[:, j] = values[start:stop]
+                j += 1
+            else:
+                rows[:, j : j + values.shape[1]] = values[start:stop]
+                j += values.shape[1]
+        if self.scaling is not None:
+            rows -= self.scaling[0]
+            rows /= self.scaling[1]
+        return rows
+
+    @property
+    def x(self) -> np.ndarray:
+        """The whole dense matrix, read-only and built on every access. For
+        library callers: no command builds it."""
+        x = self.dense(0, self.n_rows)
+        x.setflags(write=False)
+        return x
+
+    def take(self, rows) -> "DesignMatrix":
+        """The matrix of the rows selected by an index array or a boolean mask."""
+        frame = (FrameColumn(f.values[rows], f.levels) for f in self.frame)
+        return DesignMatrix.of_frame(self.columns, frame, self.y[rows], self.scaling)
+
+    def standardized(self, mean, scale) -> "DesignMatrix":
+        """This matrix with every row built as (row - mean) / scale."""
+        if self.scaling is not None:  # scaled twice: from the scaled rows
+            return DesignMatrix(self.columns, self.x, self.y).standardized(mean, scale)
+        return DesignMatrix.of_frame(self.columns, self.frame, self.y, (mean, scale))
+
+
+def row_blocks(x):
+    """(start, rows) of every block of block_rows(n_cols) dense rows of x, a
+    DesignMatrix or a 2-D array, in row order. Each block is written over
+    the last one's memory, which the caller may change. An array's rows are
+    copied there too, so a matrix and its dense array give every consumer
+    the same blocks to compute on."""
+    n, k = x.shape
+    step = block_rows(k)
+    buffer = np.empty((min(step, n), k))
+    for start in range(0, n, step):
+        if isinstance(x, DesignMatrix):
+            rows = x.dense(start, start + step, buffer)
+        else:
+            rows = buffer[: min(step, n - start)]
+            rows[...] = x[start : start + step]
+        yield start, rows
 
 
 def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
-    """Turn a clean table into a numeric matrix of its rows, or of the given
-    rows only (an index array), filled into one preallocated array.
+    """The design matrix of a clean table's rows, or of the given rows only
+    (an index array), as the table's feature columns and category codes.
 
     Numeric features pass through. Each discrete feature with k distinct
     values becomes k-1 indicator columns named "<col>=<value>"; the
     lexicographically first value is the dropped baseline. Single-valued
     columns are dropped and recorded in the report. The levels are the whole
-    table's, so a row subset encodes to the same columns as the table.
+    table's, so a row subset encodes to the same columns as the table. With
+    rows None, the matrix holds the table's own columns, not copies.
     """
     y = table.labels()
     if (y < 0).any():
@@ -704,19 +832,20 @@ def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
             f"row {i} has non-terminal status {status!r}; filter_terminal must run first"
         )
 
-    kept: list = []
+    frame: list = []
     col_names: list[str] = []
     dropped: list[str] = []
     dummies: dict = {}
     numeric: list[str] = []
 
+    rows = slice(None) if rows is None else rows
     for spec, column in zip(table.schema, table.columns):
         if spec.role != "feature":
             continue
         if _missing(column).any():
             raise DataError(f"column {spec.name!r} still has missing cells; clean before encoding")
         if not isinstance(column, Categorical):
-            kept.append(column)
+            frame.append(FrameColumn(column[rows], 0))
             col_names.append(spec.name)
             numeric.append(spec.name)
             continue
@@ -727,21 +856,10 @@ def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
         baseline, rest = column.levels[0], column.levels[1:]
         names = [f"{spec.name}={v}" for v in rest]
         dummies[spec.name] = {"baseline": baseline, "columns": tuple(names)}
-        kept.append(column)
+        frame.append(FrameColumn(column.codes[rows], k))
         col_names.extend(names)
 
-    rows = slice(None) if rows is None else rows
-    y = y[rows]
-    x = np.empty((y.size, len(col_names)), dtype=np.float64)
-    j = 0
-    for column in kept:
-        if isinstance(column, Categorical):
-            block = column.codes[rows, None] == np.arange(1, len(column.levels))
-        else:
-            block = column[rows, None]
-        x[:, j : j + block.shape[1]] = block
-        j += block.shape[1]
-    matrix = DesignMatrix(columns=tuple(col_names), x=x, y=y)
+    matrix = DesignMatrix.of_frame(col_names, frame, y[rows])
     report = EncodeReport(
         dropped_constant=tuple(dropped), dummies=dummies, numeric=tuple(numeric)
     )
@@ -770,13 +888,9 @@ def split_rows(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndarray
 
 
 def split(matrix: DesignMatrix, test_fraction: float, seed: int) -> SplitPair:
-    """split_rows of a matrix, with each half copied out of it."""
+    """split_rows of a matrix, each half taken out of it (see DesignMatrix.take)."""
     train, test = split_rows(matrix.n_rows, test_fraction, seed)
-    return SplitPair(
-        train=DesignMatrix(matrix.columns, matrix.x[train], matrix.y[train]),
-        test=DesignMatrix(matrix.columns, matrix.x[test], matrix.y[test]),
-        test_fraction=test_fraction,
-    )
+    return SplitPair(train=matrix.take(train), test=matrix.take(test), test_fraction=test_fraction)
 
 
 class ClassBalance(NamedTuple):

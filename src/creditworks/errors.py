@@ -78,19 +78,23 @@ def check_setting(name: str, value, kind: type) -> None:
 
 
 def check_training_data(x, y):
-    """x as a 2-D float64 matrix of finite values and y as its int64 0/1
-    labels, one per row. Labels are checked as values, before the cast, so
-    0.5 is no 0. DataError for a shape fault, TrainingError for the rest."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as a 2-D float64 matrix of finite values, and y as its int64 0/1
+    labels, one per row. A design matrix (anything with a dense method)
+    stays as it is: its constructor checked its values. Labels are checked
+    as values, before the cast, so 0.5 is no 0. DataError for a shape
+    fault, TrainingError for the rest."""
+    array = not hasattr(x, "dense")
+    if array:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise DataError("training matrix must be 2-D")
     y = np.asarray(y)
-    if x.ndim != 2:
-        raise DataError("training matrix must be 2-D")
     if y.shape != (x.shape[0],):
         raise DataError("target length does not match row count")
     if x.shape[0] == 0:
         raise TrainingError("cannot fit on an empty matrix")
     if not np.isin(y, (0, 1)).all():
         raise TrainingError("labels must be 0/1")
-    if not np.isfinite(x).all():
+    if array and not np.isfinite(x).all():
         raise TrainingError("training matrix contains non-finite values")
     return x, np.asarray(y, dtype=np.int64)

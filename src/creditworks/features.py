@@ -7,11 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DesignMatrix
+from .dataset import DesignMatrix, row_blocks
 from .errors import DataError
-
-# Columns per block of fit_scaler's standard deviation.
-SCALER_COLUMNS = 8
 
 
 class PearsonResult(NamedTuple):
@@ -49,15 +46,51 @@ def correlation_report(matrix) -> tuple[tuple[str, float, bool], ...]:
     """Correlation of every design-matrix column against its default labels.
 
     Returns (name, r, defined) triples sorted by r descending, ties broken
-    by column name, so the strongest default signals list first.
+    by column name, so the strongest default signals list first. r is
+    pearson's, with each column's sums taken over the matrix's row blocks
+    (see _column_sums); a constant column has r 0.0, undefined.
     """
-    y = np.asarray(matrix.y, dtype=np.float64)
+    n = matrix.n_rows
+    if n < 2 and matrix.n_cols:
+        raise DataError("pearson needs at least 2 observations")
+    if matrix.n_cols == 0:
+        return ()
+    dy = np.asarray(matrix.y, dtype=np.float64)
+    dy = dy - dy.mean()
+    sy = float(np.sqrt(np.einsum("i,i->", dy, dy)))
+    mean = _column_sums(matrix) / n
+    sx = np.sqrt(_column_sums(matrix, mean))
+    sxy = _column_sums(matrix, mean, dy)
     rows = []
-    for j, name in enumerate(matrix.columns):
-        r, defined = pearson(matrix.x[:, j], y)
-        rows.append((name, r, defined))
+    for name, s, c in zip(matrix.columns, sx.tolist(), sxy.tolist()):
+        defined = s != 0.0 and sy != 0.0
+        rows.append((name, c / (s * sy) if defined else 0.0, defined))
     rows.sort(key=lambda t: (-t[1], t[0]))
     return tuple(rows)
+
+
+def _column_sums(matrix, mean=None, by=None) -> np.ndarray:
+    """Column sums over the matrix's dense rows x, taken a row block at a
+    time: of x; given the column means, of (x - mean) ** 2; given a vector
+    by as well, of (x - mean) * by.
+
+    numpy sums axis 0 of a C-contiguous matrix of two or more columns row
+    after row, so adding the running sum into a block's first row keeps
+    the bits of one sum over the whole matrix. A one-column block is summed
+    pairwise, so a one-column matrix keeps them only in one block.
+    """
+    total = np.zeros(matrix.n_cols)
+    for start, rows in row_blocks(matrix):
+        if mean is not None:
+            rows -= mean
+            if by is None:
+                np.square(rows, out=rows)
+            else:
+                rows *= by[start : start + len(rows), None]
+        if start:
+            rows[0] += total
+        total = rows.sum(axis=0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -73,12 +106,9 @@ class Scaler:
     columns: tuple[str, ...]
 
     def transform(self, x) -> np.ndarray:
-        """The standardized copy of x, a row or a 2-D array."""
-        return self.transform_in_place(np.array(x, dtype=np.float64, ndmin=2))
-
-    def transform_in_place(self, x: np.ndarray) -> np.ndarray:
-        """Standardize a writable 2-D float64 array in its own memory and
-        return it; the same bits as transform, without a second array."""
+        """The standardized copy of x, a row or a 2-D array: the bits of a
+        standardized DesignMatrix's rows."""
+        x = np.array(x, dtype=np.float64, ndmin=2)
         if x.shape[1] != self.mean.shape[0]:
             raise DataError(
                 f"scaler fitted on {self.mean.shape[0]} columns, got {x.shape[1]}"
@@ -111,21 +141,15 @@ class Scaler:
 def fit_scaler(matrix) -> Scaler:
     """Fit a standardizer to a design matrix (training half only).
 
-    The standard deviation is taken over blocks of SCALER_COLUMNS columns,
-    so its temporary is one block's copy, not the matrix's. A block of two
-    or more columns sums each column row by row, as x.std(axis=0) does, so
-    the bits are the same; a 1-column slice would be summed pairwise, so
-    the last block is never 1 column wide unless the matrix is.
+    Mean and standard deviation are taken by row blocks (see _column_sums)
+    with the bits of x.mean(axis=0) and x.std(axis=0), whose formulas they
+    repeat, and no dense copy larger than a block.
     """
-    x = np.asarray(matrix.x, dtype=np.float64)
-    if x.shape[0] == 0:
+    n = matrix.n_rows
+    if n == 0:
         raise DataError("cannot fit a scaler on an empty matrix")
-    mean = x.mean(axis=0)
-    k = x.shape[1]
-    starts = range(0, max(k - 1, 1), SCALER_COLUMNS)
-    scale = np.empty(k)
-    for start, stop in zip(starts, [*starts[1:], k]):
-        scale[start:stop] = x[:, start:stop].std(axis=0)
+    mean = _column_sums(matrix) / n
+    scale = np.sqrt(_column_sums(matrix, mean) / n)
     scale = np.where(scale == 0.0, 1.0, scale)
     mean.setflags(write=False)
     scale.setflags(write=False)
@@ -133,12 +157,11 @@ def fit_scaler(matrix) -> Scaler:
 
 
 def apply_scaler(scaler: Scaler, matrix) -> DesignMatrix:
-    """Standardize a design matrix with previously fitted parameters."""
+    """The design matrix standardized with previously fitted parameters; its
+    rows are scaled as they are built (see DesignMatrix.standardized)."""
     if tuple(matrix.columns) != scaler.columns:
         raise DataError("scaler was fitted on different columns")
-    return DesignMatrix(
-        columns=matrix.columns, x=scaler.transform(matrix.x), y=matrix.y
-    )
+    return matrix.standardized(scaler.mean, scaler.scale)
 
 
 # Sanity screens for obviously out-of-range exploratory values. Each rule is

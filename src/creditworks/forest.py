@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import DesignMatrix
 from .errors import DataError, TrainingError, check_setting, check_training_data
 
 CRITERIA = ("gini", "entropy")
@@ -67,19 +68,48 @@ class _Coded(NamedTuple):
     rounds: bool
 
 
+def _midpoint(lo, hi):
+    """(lo + hi) / 2.0 elementwise, or lo / 2.0 + hi / 2.0 where the sum
+    passes the float range: the midpoint of two finite floats is finite."""
+    with np.errstate(over="ignore"):
+        total = lo + hi
+    return np.where(np.isfinite(total), total / 2.0, lo / 2.0 + hi / 2.0)
+
+
+def _ranks(x):
+    """Per column of x, a 2-D array or a DesignMatrix: its distinct values
+    in order and each row's rank among them, as np.unique gives them. A
+    matrix's dummy column is ranked straight from its category's codes,
+    without its dense values."""
+    if not isinstance(x, DesignMatrix) or x.scaling is not None:
+        dense = x if not isinstance(x, DesignMatrix) else x.x
+        for f in range(dense.shape[1]):
+            yield np.unique(dense[:, f], return_inverse=True)
+        return
+    for values, levels in x.frame:
+        if not levels:
+            for column in values.T if values.ndim == 2 else (values,):
+                yield np.unique(column, return_inverse=True)
+            continue
+        counts = np.bincount(values, minlength=levels)
+        for level in range(1, levels):
+            if 0 < counts[level] < values.size:
+                yield np.array([0.0, 1.0]), (values == level).astype(np.intp)
+            else:  # 1.0 on every row, or on none
+                yield np.array([float(counts[level] > 0)]), np.zeros(values.size, dtype=np.intp)
+
+
 def _coded(x, y) -> _Coded:
     n, n_cols = x.shape
     # Ranks are below n * n_cols, so int32 codes hold any matrix of under 2**30 cells.
     code = np.empty((n_cols, n), dtype=np.int32 if n * n_cols < 2**30 else np.int64)
     levels, base, rounds = [], 0, False
-    for f in range(n_cols):
-        values, rank = np.unique(x[:, f], return_inverse=True)
+    for f, (values, rank) in enumerate(_ranks(x)):
         rank += base
         np.add(2 * rank, y, out=code[f], casting="unsafe")
         levels.append(values)
         base += values.size
-        with np.errstate(over="ignore"):  # a midpoint past the float range rounds onto nothing
-            rounds = rounds or bool(np.any((values[:-1] + values[1:]) / 2.0 == values[1:]))
+        rounds = rounds or bool(np.any(_midpoint(values[:-1], values[1:]) == values[1:]))
     return _Coded(code, np.concatenate(levels) if levels else np.zeros(0), 2 * base, y, rounds)
 
 
@@ -150,7 +180,7 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
         seg_of = np.arange(m * k).repeat(count)
         lift = seg_of // k * (span // 2)
         hi = coded.values[key[cand + 1] - lift]
-        rounded = (coded.values[key[cand] - lift] + hi) / 2.0 == hi
+        rounded = _midpoint(coded.values[key[cand] - lift], hi) == hi
         end = np.where(rounded, np.minimum(np.append(cand[1:], key.size), seg_end[seg_of] - 1), cand)
     n, n1 = np.empty(2 * c + m), np.empty(2 * c + m)
     np.subtract(end, of[0], out=n[:c])
@@ -177,7 +207,7 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     p, q = cand[hit], end[hit]
     seg = start.searchsorted(p, side="right") - 1
     base = won * (span // 2)
-    cut = (coded.values[key[p] - base] + coded.values[key[p + 1] - base]) / 2.0
+    cut = _midpoint(coded.values[key[p] - base], coded.values[key[p + 1] - base])
     return won, seg - won * k, cut, key[q] - base, gains[hit], q - start[seg] + 1, cum[q] - table[1].flat[seg]
 
 
@@ -346,10 +376,14 @@ def _leaf_sum(loops: _Loops, x) -> np.ndarray:
         offset = np.arange(block.shape[0]) * n_cols
         node = np.repeat(loops.roots, block.shape[0]).reshape(n_trees, -1)
         for _ in range(loops.depth):
+            # Each gather's index freed before the next gather, so that a
+            # step holds three node-row arrays at once, not four.
             at = loops.feature[node]
             at += offset
-            go_left = flat[at] <= loops.threshold[node]
+            value = flat[at]
             del at
+            go_left = value <= loops.threshold[node]
+            del value
             node *= 2
             node += go_left
             node = loops.child[node]
@@ -691,7 +725,8 @@ def _grow_in_child(
 
 
 def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Forest:
-    """Train n_trees CARTs on bootstrap resamples.
+    """Train n_trees CARTs on bootstrap resamples of x, a 2-D array or a
+    DesignMatrix (see _ranks), with labels y.
 
     Tree t's entire randomness (its bootstrap draw, then its per-node
     feature subsets) comes from a generator seeded with (seed, t), so the

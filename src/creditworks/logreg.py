@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import row_blocks
 from .errors import DataError, TrainingError, check_setting, check_training_data
 
 # Probabilities are clipped away from {0, 1} before the log so a saturated
@@ -16,11 +17,6 @@ EPS = 1e-12
 # A Newton step is halved at most this often looking for a loss that does
 # not rise; 2**-40 of a step moves no weight of a sane fit.
 MAX_HALVINGS = 40
-
-# Rows per block of the Hessian's weighted copy of x, so that copy is one
-# block's, not the matrix's. Fits of at most this many rows have the bits of
-# one unblocked product.
-HESSIAN_ROWS = 4096
 
 
 def sigmoid(z):
@@ -43,7 +39,14 @@ def bce_loss(p, y) -> float:
         raise DataError(f"shape mismatch: {p.shape} vs {y.shape}")
     if p.size == 0:
         raise DataError("loss of an empty batch is undefined")
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    # y * log(p) + (1 - y) * log(1 - p), in two arrays rather than five.
+    q = 1.0 - p
+    np.log(p, out=p)
+    np.log(q, out=q)
+    p *= y
+    q *= 1.0 - y
+    p += q
+    return float(-np.mean(p))
 
 
 def loss_and_gradient(x, y, weights, bias, l2=0.0):
@@ -67,18 +70,45 @@ def _rows_dot(x, w):
     return np.einsum("ij,j->i", x, w)
 
 
-def _objective(x, y, w, bias, l2):
-    """(loss, grad_w, grad_b, p) of float64 arrays with at least one row."""
-    p = sigmoid(_rows_dot(x, w) + bias)
+def _objective(x, y, w, bias, l2, hessian=False):
+    """(loss, grad_w, grad_b, h) at (w, bias), in one pass over the dense
+    row blocks of x, a 2-D array or a DesignMatrix (see
+    dataset.row_blocks), which give the same bits. x has at least one row.
+
+    h, when asked for, is the Hessian of the mean cross-entropy in
+    (weights, bias) without the L2 term: [[XᵀDX, XᵀD1], [1ᵀDX, ΣD]] / n
+    with D = p(1-p). Otherwise it is None. The products of x are summed
+    block after block, in row order.
+    """
+    n, k = x.shape
+    p = np.empty(n)
+    grad_w = np.zeros(k)
+    if hessian:
+        h = np.zeros((k + 1, k + 1))
+    for start, rows in row_blocks(x):
+        p_rows = p[start : start + len(rows)]
+        p_rows[:] = sigmoid(_rows_dot(rows, w) + bias)
+        grad_w += rows.T @ (p_rows - y[start : start + len(rows)])
+        if hessian:
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = p_rows * (1.0 - p_rows)
+                h[:k, k] += rows.T @ d
+                # The block is this pass's own copy: weighted in place.
+                rows *= np.sqrt(d)[:, None]
+                h[:k, :k] += rows.T @ rows
     loss = bce_loss(p, y)
     if l2:
         loss += 0.5 * l2 * float(np.dot(w, w))
-    resid = p - y
-    grad_w = x.T @ resid / x.shape[0]
+    grad_w /= n
     if l2:
         grad_w = grad_w + l2 * w
-    grad_b = float(resid.mean())
-    return loss, grad_w, grad_b, p
+    grad_b = float((p - y).mean())
+    if not hessian:
+        return loss, grad_w, grad_b, None
+    h[k, :k] = h[:k, k]
+    h[k, k] = (p * (1.0 - p)).sum()
+    h /= n
+    return loss, grad_w, grad_b, h
 
 
 @dataclass(frozen=True)
@@ -188,7 +218,8 @@ class LogregModel:
 
 def fit_logreg(x, y, config: LogregConfig = LogregConfig(), columns=()) -> LogregModel:
     """Fit from the zero vector by Newton's method if config.newton, else
-    by full-batch gradient descent.
+    by full-batch gradient descent. x is a 2-D array or a DesignMatrix;
+    either way each pass takes its rows a block at a time (see _objective).
 
     history[0] is (0, loss before any step); each subsequent entry is the
     loss after that iteration's update. Either fit stops early once the
@@ -239,11 +270,9 @@ def _fit_newton(x, y, config):
     diag = np.arange(k)
     w = np.zeros(k, dtype=np.float64)
     b = 0.0
-    loss, grad_w, grad_b, p = _objective(x, y, w, b, config.l2)
+    loss, grad_w, grad_b, h = _objective(x, y, w, b, config.l2, hessian=True)
     history = [(0, loss)]
     for it in range(1, config.max_iters + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = _hessian(x, p)
         if it == 1:
             # An all-zero column (a level absent from the training rows) has a
             # zero row and column in h and a zero gradient. It stays out of
@@ -268,7 +297,9 @@ def _fit_newton(x, y, config):
         t = 1.0
         for _ in range(MAX_HALVINGS):
             w_t, b_t = w - t * step[:k], b - t * float(step[k])
-            trial = _objective(x, y, w_t, b_t, config.l2)
+            # The pass that gives the trial's loss also gives its Hessian,
+            # which the next iteration needs if the step is taken.
+            trial = _objective(x, y, w_t, b_t, config.l2, hessian=True)
             if trial[0] <= loss:
                 break
             t *= 0.5
@@ -276,31 +307,9 @@ def _fit_newton(x, y, config):
             break  # no step lowers the loss: the fit is at its optimum
         prev = loss
         w, b = w_t, b_t
-        loss, grad_w, grad_b, p = trial
+        loss, grad_w, grad_b, h = trial
         history.append((it, loss))
         if prev - loss <= config.tol:
             break
     return w, b, history
 
-
-def _hessian(x, p):
-    """Hessian of the mean cross-entropy in (weights, bias), without the L2
-    term: [[XᵀDX, XᵀD1], [1ᵀDX, ΣD]] / n with D = p(1-p). XᵀDX is summed
-    over blocks of HESSIAN_ROWS rows, in row order."""
-    n, k = x.shape
-    d = p * (1.0 - p)
-    root_d = np.sqrt(d)[:, None]
-    # One buffer for every block, so no two blocks are alive at once.
-    buffer = np.empty((min(n, HESSIAN_ROWS), k))
-    h = np.empty((k + 1, k + 1))
-    for start in range(0, n, HESSIAN_ROWS):
-        rows = x[start : start + HESSIAN_ROWS]
-        root = np.multiply(rows, root_d[start : start + HESSIAN_ROWS], out=buffer[: len(rows)])
-        if start == 0:
-            h[:k, :k] = root.T @ root
-        else:
-            h[:k, :k] += root.T @ root
-    h[:k, k] = x.T @ d
-    h[k, :k] = h[:k, k]
-    h[k, k] = d.sum()
-    return h / n

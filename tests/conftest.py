@@ -5,6 +5,7 @@ import json
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from creditworks import ColumnSpec, RawLoanTable
 from creditworks.dataset import Categorical
@@ -105,3 +106,21 @@ def build_table(columns, rows, status_map=None):
     return RawLoanTable(schema=schema,
                         columns=tuple(build_column(s.kind, c) for s, c in zip(schema, cells)),
                         status_map=status_map)
+
+
+@st.composite
+def clean_tables(draw):
+    """(table, rows): a clean table of terminal loans whose numeric and
+    categorical features come in any order, one categorical constant, and
+    an index array of its rows (repeats allowed) that may lack levels."""
+    n = draw(st.integers(2, 25))
+    numbers = st.floats(allow_nan=False, allow_infinity=False)
+    features = [(f"n{i}", "numeric", st.lists(numbers, min_size=n, max_size=n)) for i in range(draw(st.integers(0, 3)))]
+    for i, k in enumerate([1] + draw(st.lists(st.integers(2, 6), max_size=3))):
+        features.append((f"c{i}", "categorical", st.lists(st.sampled_from("abcdef"[:k]), min_size=n, max_size=n)))
+    features = draw(st.permutations(features))
+    statuses = st.lists(st.sampled_from(["Fully Paid", "Charged Off"]), min_size=n, max_size=n)
+    columns = [(name, kind, "feature") for name, kind, _ in features] + [("loan_status", "text", "target")]
+    cells = [draw(cells) for _, _, cells in features] + [draw(statuses)]
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)), dtype=np.intp)
+    return build_table(columns, list(zip(*cells))), rows

@@ -21,7 +21,7 @@ COMMANDS = ("explore", "prepare", "train", "evaluate", "score", "price")
 
 # Artifacts that do not depend on the model kind.
 SHARED = {
-    "correlation.csv": "9901bee74ba9311d0cb3903196749da1f2bdfcedd241c17d9c35978fda36b613",
+    "correlation.csv": "34b397bab98d7c1b574f6a53c6f5becf3ff29da2cf88822849a11f9e63b1e76c",
     "prepared/columns.json": "906fe50a82b6bd424467be67a3da96380a0dcec58f885b8588ef28f7cf2ab155",
     "prepared/encode_report.json": "ac8a1251e2b7795947f22379054d50951097ef386eb2a28067a5f1c34af4a1aa",
     "prepared/scaler.json": "820f3b6bfabe2fa781d98cbaee2aea4b3fa864228a9f1112ee6436f7726a708f",

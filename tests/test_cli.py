@@ -98,7 +98,7 @@ def test_prepare_writes_loadable_matrices(workdir):
 
 def test_prepare_writes_np_save_bytes_and_the_scaler_of_the_train_half(workdir, monkeypatch):
     # Blocks of 7 rows: both halves span several blocks and end in a part block.
-    monkeypatch.setattr(cli, "PREDICT_ROWS", 7)
+    monkeypatch.setattr(dataset, "block_rows", lambda n_cols: 7)
     assert run(workdir, "prepare") == 0
     cfg, base = cli._read_config(str(workdir / "config.json"))
     matrix = cli._load(cfg, base)[0]
@@ -293,8 +293,9 @@ def test_evaluate_without_model_file_is_data_error(workdir):
 
 def test_score_labels_match_threshold(workdir, monkeypatch):
     assert run(workdir, "train") == 0
-    # Blocks of 7 rows, so that the rows are written across block edges.
-    monkeypatch.setattr(cli, "PREDICT_ROWS", 7)
+    # Blocks of 7 rows, so that the rows are predicted and written across block edges.
+    monkeypatch.setattr(dataset, "block_rows", lambda n_cols: 7)
+    monkeypatch.setattr(cli, "WRITE_ROWS", 7)
     assert run(workdir, "score") == 0
     header, rows = read_csv(workdir / "out" / "scores.csv")
     assert header == ["id", "pd", "label"]
@@ -928,6 +929,16 @@ def test_split_commands_encode_rows_without_copying_both_halves(workdir, monkeyp
     assert run(workdir, command) == 0
 
 
+@pytest.mark.parametrize("model", [None, {"kind": "forest", "n_trees": 3, "max_depth": 3}])
+def test_no_command_builds_the_whole_matrix(workdir, monkeypatch, model):
+    if model is not None:
+        write_config(workdir / "config.json", model=model)
+    whole = property(lambda matrix: pytest.fail("a command built the whole matrix"))
+    monkeypatch.setattr(dataset.DesignMatrix, "x", whole)
+    for command in ("explore", "prepare", "train", "evaluate", "score", "price"):
+        assert run(workdir, command) == 0, command
+
+
 def _block_model(tmp_path, kind):
     """A model file of the given kind fitted on random data, and its columns."""
     rng = np.random.default_rng(9)
@@ -949,7 +960,7 @@ def _block_model(tmp_path, kind):
 def test_block_predictions_equal_one_shot_predictions(tmp_path, kind):
     # Three whole blocks and a remainder, so that blocks and their edges both count.
     path, columns = _block_model(tmp_path, kind)
-    n = 3 * cli.PREDICT_ROWS + 123
+    n = 3 * dataset.block_rows(4) + 123
     rng = np.random.default_rng(4)
     x = rng.normal(size=(n, 4)) * [1.5, 60.0, 2e4, 0.2] + [0.0, 10.0, 5e4, 3.0]
     matrix = dataset.DesignMatrix(columns, x, np.zeros(n, dtype=np.int64))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LOAN_HEADER, build_table, make_loan_rows
+from conftest import LOAN_HEADER, build_table, clean_tables, make_loan_rows, write_loans_csv
 from creditworks import (
     ColumnSpec,
     DesignMatrix,
@@ -491,6 +491,68 @@ def test_encode_of_rows_without_feature_columns(features):
     table = build_table(cols, cells)
     part = _assert_rows_encode(table, np.array([2, 0]))
     assert part.x.shape == (2, 0) and part.y.tolist() == [0, 0]
+
+
+def _dense_reference(table, rows=None):
+    """The dense matrix that encode filled before the design matrix held
+    the table's columns: each numeric feature, then each dummy block by one
+    comparison per level, into one array."""
+    rows = slice(None) if rows is None else rows
+    blocks = []
+    for spec, column in zip(table.schema, table.columns):
+        if spec.role != "feature":
+            continue
+        if not isinstance(column, dataset.Categorical):
+            blocks.append(column[rows, None])
+        elif len(column.levels) > 1:
+            blocks.append(column.codes[rows, None] == np.arange(1, len(column.levels)))
+    x = np.empty((len(table.labels()[rows]), sum(b.shape[1] for b in blocks)))
+    j = 0
+    for block in blocks:
+        x[:, j : j + block.shape[1]] = block
+        j += block.shape[1]
+    return x
+
+
+def _assert_view_rows(table, rows, rng):
+    """encode's view builds the reference matrix's rows, whole, by blocks
+    and over random ranges, scaled or not."""
+    matrix = encode(table, rows)[0]
+    want = _dense_reference(table, rows)
+    assert matrix.shape == want.shape
+    assert matrix.x.tobytes() == want.tobytes()
+    assert b"".join(block.tobytes() for _, block in dataset.row_blocks(matrix)) == want.tobytes()
+    mean, scale = rng.normal(size=want.shape[1]), rng.uniform(1.0, 2.0, want.shape[1])
+    scaled = matrix.standardized(mean, scale)
+    out = np.full((want.shape[0] + 3, want.shape[1]), np.nan)
+    for _ in range(5):
+        start, stop = sorted(rng.integers(0, want.shape[0] + 1, size=2).tolist())
+        assert matrix.dense(start, stop).tobytes() == want[start:stop].tobytes()
+        assert matrix.dense(start, stop, out).tobytes() == want[start:stop].tobytes()
+        assert scaled.dense(start, stop, out).tobytes() == ((want[start:stop] - mean) / scale).tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_view_rows_equal_the_dense_matrix_of_the_conftest_book(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(dataset, "block_rows", lambda n_cols: block)
+    path = write_loans_csv(tmp_path / "loans.csv")
+    table = handle_missing(drop_columns(filter_terminal(load_csv(path, default_column_specs()))))
+    train, test = dataset.split_rows(table.row_count, 0.25, 11)
+    rng = np.random.default_rng(0)
+    for rows in (None, train, test, np.array([5])):
+        _assert_view_rows(table, rows, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=clean_tables(), block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_view_rows_equal_the_dense_matrix_of_any_table(data, block, seed):
+    # Constant columns, columns in any order, and subsets that lack levels.
+    table, rows = data
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(dataset, "block_rows", lambda n_cols: block):
+        for subset in (None, rows):
+            _assert_view_rows(table, subset, rng)
 
 
 @pytest.mark.parametrize("y", [[0.5, 1.0], [0, 2]])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_blobs
+from conftest import clean_tables, make_blobs, write_loans_csv
 from creditworks import (
     CartParams,
     CartTree,
@@ -28,7 +28,7 @@ from creditworks import (
     forest_from_json_dict,
     forest_to_json_dict,
 )
-from creditworks import forest
+from creditworks import dataset, forest
 from creditworks.errors import DataError, TrainingError
 from creditworks.forest import CRITERIA, TREE_ARRAYS
 
@@ -332,6 +332,32 @@ def test_fit_cart_splits_when_midpoint_rounds_onto_a_value_below_others():
         assert getattr(tree, name).tolist() == want[name], name
 
 
+@pytest.mark.parametrize(
+    "values", [[1e308, 1.7e308], [-1.7e308, -1e308], [1.5e308, np.finfo(np.float64).max]]
+)
+def test_fit_cart_cuts_between_values_whose_sum_passes_the_float_range(values):
+    # (lo + hi) / 2 is inf there: a threshold that sends every row left.
+    x = np.array(values)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = fit_cart(x, np.array([0, 1]))
+    assert values[0] < tree.threshold[0] < values[1]
+    assert tree.predict_proba(x).tolist() == [0.0, 1.0]
+
+
+@given(
+    lo=st.floats(allow_nan=False, allow_infinity=False),
+    hi=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_midpoint_has_the_bits_of_the_halved_sum_wherever_that_is_finite(lo, hi):
+    lo, hi = min(lo, hi), max(lo, hi)
+    mid = forest._midpoint(np.array([lo]), np.array([hi]))[0]
+    if math.isfinite(lo + hi):
+        assert struct.pack("<d", mid) == struct.pack("<d", (lo + hi) / 2.0)
+    else:
+        assert lo <= mid <= hi
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_lockstep_equals_one_node_a_step_where_midpoints_round(seed):
     # Values one float apart, so many midpoints round onto the upper value,
@@ -392,6 +418,32 @@ def test_only_adjacent_floats_have_a_midpoint_that_rounds_onto_the_upper_one(lo,
     for lo, hi in ((lo, near), (min(lo, hi), max(lo, hi))):
         if math.nextafter(lo, math.inf) < hi < math.inf:
             assert (lo + hi) / 2.0 != hi
+
+
+def _assert_coded_alike(matrix):
+    """_coded of a design matrix, from its category codes, equals _coded of
+    its dense matrix, array for array."""
+    view, dense = forest._coded(matrix, matrix.y), forest._coded(matrix.x, matrix.y)
+    assert view.code.dtype == dense.code.dtype and np.array_equal(view.code, dense.code)
+    assert view.values.tobytes() == dense.values.tobytes()
+    assert (view.span, view.rounds) == (dense.span, dense.rounds)
+
+
+def test_coded_of_the_conftest_book_equals_coded_of_its_dense_matrix(tmp_path):
+    path = write_loans_csv(tmp_path / "loans.csv")
+    table = dataset.filter_terminal(dataset.load_csv(path, dataset.default_column_specs()))
+    table = dataset.handle_missing(dataset.drop_columns(table))
+    for rows in (None, dataset.split_rows(table.row_count, 0.25, 11)[0]):
+        _assert_coded_alike(dataset.encode(table, rows)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=clean_tables())
+def test_coded_of_a_view_equals_coded_of_its_dense_matrix(data):
+    # Dummies that are 1.0 on every row of a subset, or on none, included.
+    table, rows = data
+    for subset in (None, rows):
+        _assert_coded_alike(dataset.encode(table, subset)[0])
 
 
 def test_the_rounding_check_changes_no_tree_where_no_midpoint_rounds():
@@ -874,7 +926,7 @@ def test_workers_of_a_killed_parent_exit(tmp_path, fitting):
     script = f"""
 import json, os, time
 import numpy as np
-from creditworks import forest
+from creditworks import dataset, forest
 
 real_grow = forest._grow
 

@@ -332,12 +332,20 @@ def test_newton_halves_a_step_that_would_raise_the_loss():
     assert losses[5] < four.final_loss
 
 
-@pytest.mark.parametrize("n", [1, 5, logreg.HESSIAN_ROWS - 1, logreg.HESSIAN_ROWS])
+def _hessian(x, rng):
+    """The Hessian of one objective pass at a random point of x, with its p."""
+    w, b = rng.normal(scale=0.3, size=x.shape[1]), float(rng.normal())
+    y = (rng.random(x.shape[0]) < 0.5).astype(np.float64)
+    h = logreg._objective(x, y, w, b, 0.0, hessian=True)[3]
+    return h, logreg.sigmoid(logreg._rows_dot(x, w) + b)
+
+
+# 16 columns: blocks of 4,096 rows.
+@pytest.mark.parametrize("n", [1, 5, dataset.block_rows(16) - 1, dataset.block_rows(16)])
 def test_hessian_of_one_block_has_the_bits_of_the_unblocked_product(n):
     rng = np.random.default_rng(n)
-    x = np.hstack([rng.normal(size=(n, 6)), rng.random((n, 20)) < 0.1])
-    p = rng.random(n)
-    h = logreg._hessian(x, p)
+    x = np.hstack([rng.normal(size=(n, 6)), rng.random((n, 10)) < 0.1])
+    h, p = _hessian(x, rng)
     d = p * (1.0 - p)
     root = x * np.sqrt(d)[:, None]
     assert h[:-1, :-1].tobytes() == (root.T @ root / n).tobytes()
@@ -346,12 +354,12 @@ def test_hessian_of_one_block_has_the_bits_of_the_unblocked_product(n):
 
 
 def test_blocked_hessian_over_several_blocks_matches_the_unblocked_one():
-    n = 3 * logreg.HESSIAN_ROWS + 123
+    n = 3 * dataset.block_rows(26) + 123
     rng = np.random.default_rng(4)
     x = np.hstack([rng.normal(size=(n, 6)) * 40.0 + 5.0, rng.random((n, 20)) < 0.1])
-    p = rng.random(n)
+    h, p = _hessian(x, rng)
     root = np.hstack([x, np.ones((n, 1))]) * np.sqrt(p * (1.0 - p))[:, None]
-    h, want = logreg._hessian(x, p), root.T @ root / n
+    want = root.T @ root / n
     assert np.array_equal(h, h.T)
     assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -150,7 +150,8 @@ def _csv_bytes(rows):
 @pytest.mark.parametrize("book", ["conftest", "pricing"])
 def test_price_matches_per_loan_reference(tmp_path, monkeypatch, book):
     # Blocks of 7 rows, so that predicting and writing both cross block edges.
-    monkeypatch.setattr(cli, "PREDICT_ROWS", 7)
+    monkeypatch.setattr(dataset, "block_rows", lambda n_cols: 7)
+    monkeypatch.setattr(cli, "WRITE_ROWS", 7)
     rows = make_loan_rows() if book == "conftest" else _pricing_book()
     write_loans_csv(tmp_path / "loans.csv", rows, header=LOAN_HEADER)
     write_config(tmp_path / "config.json")

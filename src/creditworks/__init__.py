@@ -56,7 +56,6 @@ _EXPORTS = {
         "apply_scaler",
         "correlation_report",
         "fit_scaler",
-        "pearson",
         "threshold_counts",
     ),
     "forest": (

@@ -20,6 +20,7 @@ from .errors import (
     EmptyDatasetError,
     ParseError,
     SchemaError,
+    TrainingError,
     UnresolvableColumnError,
 )
 
@@ -664,12 +665,12 @@ def block_rows(n_cols: int) -> int:
 
 
 class FrameColumn(NamedTuple):
-    """One feature of a design matrix's model frame.
+    """One feature of a design matrix's model frame, a 1-D column.
 
-    With levels 0, values are numbers: a float64 column, or a 2-D float64
-    block of columns. Otherwise values are the level codes of a category of
-    that many levels, which the matrix holds as levels - 1 dummy columns:
-    level 0 is the baseline, and level i is 1.0 in the i-th dummy column.
+    With levels 0, values are the float64 numbers of one matrix column.
+    Otherwise values are the level codes of a category of that many levels,
+    which the matrix holds as levels - 1 dummy columns: level 0 is the
+    baseline, and level i is 1.0 in the i-th dummy column.
     """
 
     values: np.ndarray
@@ -677,9 +678,7 @@ class FrameColumn(NamedTuple):
 
     @property
     def width(self) -> int:
-        if self.levels:
-            return self.levels - 1
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
+        return self.levels - 1 if self.levels else 1
 
 
 class DesignMatrix:
@@ -688,16 +687,16 @@ class DesignMatrix:
     It holds its model frame, not the matrix: the feature columns and
     category codes of its rows, from which dense(start, stop) builds any
     range of the matrix's rows (Chambers & Hastie 1992, *Statistical Models
-    in S*, ch. 2). DesignMatrix(columns, x, y) of a dense 2-D x is the
-    all-numeric case, one frame column of x's columns. A standardized
-    matrix (see standardized) builds every row as (row - mean) / scale.
+    in S*, ch. 2). DesignMatrix(columns, x, y) of a dense 2-D x frames each
+    of x's columns as a view. A standardized matrix (see standardized)
+    builds every row as (row - mean) / scale.
     """
 
     def __init__(self, columns, x, y):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise DataError("design matrix must be 2-D")
-        self._build(columns, (FrameColumn(np.ascontiguousarray(x), 0),), y, None)
+        self._build(columns, tuple(FrameColumn(column, 0) for column in x.T), y, None)
 
     @classmethod
     def of_frame(cls, columns, frame, y, scaling=None) -> "DesignMatrix":
@@ -717,6 +716,8 @@ class DesignMatrix:
             raise DataError("target length does not match row count")
         kept = []
         for values, levels in frame:
+            if values.ndim != 1:
+                raise DataError("frame columns must be 1-D")
             if levels == 0 and not np.all(np.isfinite(values)):
                 raise DataError("design matrix contains non-finite values")
             if levels and values.size and (values.min() < 0 or values.max() >= levels):
@@ -763,12 +764,9 @@ class DesignMatrix:
                 hit = codes.nonzero()[0]
                 flat.put(hit * k + codes.take(hit) + (j - 1), 1.0)
                 j += levels - 1
-            elif values.ndim == 1:
+            else:
                 rows[:, j] = values[start:stop]
                 j += 1
-            else:
-                rows[:, j : j + values.shape[1]] = values[start:stop]
-                j += values.shape[1]
         if self.scaling is not None:
             rows -= self.scaling[0]
             rows /= self.scaling[1]
@@ -794,6 +792,28 @@ class DesignMatrix:
         return DesignMatrix.of_frame(self.columns, self.frame, self.y, (mean, scale))
 
 
+def check_training_data(x, y):
+    """x as a 2-D float64 matrix of finite values, and y as its int64 0/1
+    labels, one per row. A DesignMatrix stays as it is: its constructor
+    checked its values. Labels are checked as values, before the cast, so
+    0.5 is no 0. DataError for a shape fault, TrainingError for the rest."""
+    array = not isinstance(x, DesignMatrix)
+    if array:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise DataError("training matrix must be 2-D")
+    y = np.asarray(y)
+    if y.shape != (x.shape[0],):
+        raise DataError("target length does not match row count")
+    if x.shape[0] == 0:
+        raise TrainingError("cannot fit on an empty matrix")
+    if not np.isin(y, (0, 1)).all():
+        raise TrainingError("labels must be 0/1")
+    if array and not np.isfinite(x).all():
+        raise TrainingError("training matrix contains non-finite values")
+    return x, np.asarray(y, dtype=np.int64)
+
+
 def row_blocks(x):
     """(start, rows) of every block of block_rows(n_cols) dense rows of x, a
     DesignMatrix or a 2-D array, in row order. Each block is written over
@@ -812,16 +832,15 @@ def row_blocks(x):
         yield start, rows
 
 
-def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
-    """The design matrix of a clean table's rows, or of the given rows only
-    (an index array), as the table's feature columns and category codes.
+def encode(table: RawLoanTable) -> tuple[DesignMatrix, EncodeReport]:
+    """The design matrix of a clean table's rows, holding the table's own
+    feature columns and category codes, not copies.
 
     Numeric features pass through. Each discrete feature with k distinct
     values becomes k-1 indicator columns named "<col>=<value>"; the
     lexicographically first value is the dropped baseline. Single-valued
-    columns are dropped and recorded in the report. The levels are the whole
-    table's, so a row subset encodes to the same columns as the table. With
-    rows None, the matrix holds the table's own columns, not copies.
+    columns are dropped and recorded in the report. A subset of the rows
+    (see DesignMatrix.take) keeps the whole table's columns.
     """
     y = table.labels()
     if (y < 0).any():
@@ -838,14 +857,13 @@ def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
     dummies: dict = {}
     numeric: list[str] = []
 
-    rows = slice(None) if rows is None else rows
     for spec, column in zip(table.schema, table.columns):
         if spec.role != "feature":
             continue
         if _missing(column).any():
             raise DataError(f"column {spec.name!r} still has missing cells; clean before encoding")
         if not isinstance(column, Categorical):
-            frame.append(FrameColumn(column[rows], 0))
+            frame.append(FrameColumn(column, 0))
             col_names.append(spec.name)
             numeric.append(spec.name)
             continue
@@ -856,10 +874,10 @@ def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
         baseline, rest = column.levels[0], column.levels[1:]
         names = [f"{spec.name}={v}" for v in rest]
         dummies[spec.name] = {"baseline": baseline, "columns": tuple(names)}
-        frame.append(FrameColumn(column.codes[rows], k))
+        frame.append(FrameColumn(column.codes, k))
         col_names.extend(names)
 
-    matrix = DesignMatrix.of_frame(col_names, frame, y[rows])
+    matrix = DesignMatrix.of_frame(col_names, frame, y)
     report = EncodeReport(
         dropped_constant=tuple(dropped), dummies=dummies, numeric=tuple(numeric)
     )
@@ -870,7 +888,6 @@ def encode(table: RawLoanTable, rows=None) -> tuple[DesignMatrix, EncodeReport]:
 class SplitPair:
     train: DesignMatrix
     test: DesignMatrix
-    test_fraction: float
 
 
 def split_rows(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -890,7 +907,7 @@ def split_rows(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndarray
 def split(matrix: DesignMatrix, test_fraction: float, seed: int) -> SplitPair:
     """split_rows of a matrix, each half taken out of it (see DesignMatrix.take)."""
     train, test = split_rows(matrix.n_rows, test_fraction, seed)
-    return SplitPair(train=matrix.take(train), test=matrix.take(test), test_fraction=test_fraction)
+    return SplitPair(train=matrix.take(train), test=matrix.take(test))
 
 
 class ClassBalance(NamedTuple):

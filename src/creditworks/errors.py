@@ -3,8 +3,6 @@
 import math
 import numbers
 
-import numpy as np
-
 
 class CreditworksError(Exception):
     exit_code = 1
@@ -75,26 +73,3 @@ def check_setting(name: str, value, kind: type) -> None:
             ok = False
     if not ok:
         raise TrainingError(f"{name} must be {_SETTING_KINDS[kind]}, got {value!r}")
-
-
-def check_training_data(x, y):
-    """x as a 2-D float64 matrix of finite values, and y as its int64 0/1
-    labels, one per row. A design matrix (anything with a dense method)
-    stays as it is: its constructor checked its values. Labels are checked
-    as values, before the cast, so 0.5 is no 0. DataError for a shape
-    fault, TrainingError for the rest."""
-    array = not hasattr(x, "dense")
-    if array:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise DataError("training matrix must be 2-D")
-    y = np.asarray(y)
-    if y.shape != (x.shape[0],):
-        raise DataError("target length does not match row count")
-    if x.shape[0] == 0:
-        raise TrainingError("cannot fit on an empty matrix")
-    if not np.isin(y, (0, 1)).all():
-        raise TrainingError("labels must be 0/1")
-    if array and not np.isfinite(x).all():
-        raise TrainingError("training matrix contains non-finite values")
-    return x, np.asarray(y, dtype=np.int64)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -11,48 +10,17 @@ from .dataset import DesignMatrix, row_blocks
 from .errors import DataError
 
 
-class PearsonResult(NamedTuple):
-    r: float
-    defined: bool
-
-
-def pearson(x, y) -> PearsonResult:
-    """Pearson correlation of two equal-length vectors.
-
-    When either vector is constant the coefficient has no value; the result
-    carries r=0.0 with defined=False rather than NaN so report code can sort
-    and print without special-casing.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise DataError("pearson expects 1-D vectors")
-    if x.shape != y.shape:
-        raise DataError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.size < 2:
-        raise DataError("pearson needs at least 2 observations")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    # einsum rather than np.dot: BLAS splits a long dot product across its
-    # threads, and the sum's bits then depend on the thread count.
-    sx = float(np.sqrt(np.einsum("i,i->", dx, dx)))
-    sy = float(np.sqrt(np.einsum("i,i->", dy, dy)))
-    if sx == 0.0 or sy == 0.0:
-        return PearsonResult(0.0, False)
-    return PearsonResult(float(np.einsum("i,i->", dx, dy) / (sx * sy)), True)
-
-
 def correlation_report(matrix) -> tuple[tuple[str, float, bool], ...]:
     """Correlation of every design-matrix column against its default labels.
 
     Returns (name, r, defined) triples sorted by r descending, ties broken
     by column name, so the strongest default signals list first. r is
-    pearson's, with each column's sums taken over the matrix's row blocks
-    (see _column_sums); a constant column has r 0.0, undefined.
+    Sxy / sqrt(Sxx Syy), its sums taken over the matrix's row blocks (see
+    _column_sums); a constant column has r 0.0, undefined, not NaN.
     """
     n = matrix.n_rows
     if n < 2 and matrix.n_cols:
-        raise DataError("pearson needs at least 2 observations")
+        raise DataError("a correlation needs at least 2 rows")
     if matrix.n_cols == 0:
         return ()
     dy = np.asarray(matrix.y, dtype=np.float64)

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DesignMatrix
-from .errors import DataError, TrainingError, check_setting, check_training_data
+from .dataset import DesignMatrix, check_training_data
+from .errors import DataError, TrainingError, check_setting
 
 CRITERIA = ("gini", "entropy")
 
@@ -78,18 +78,17 @@ def _midpoint(lo, hi):
 
 def _ranks(x):
     """Per column of x, a 2-D array or a DesignMatrix: its distinct values
-    in order and each row's rank among them, as np.unique gives them. A
-    matrix's dummy column is ranked straight from its category's codes,
-    without its dense values."""
+    in order and each row's rank among them, as np.unique gives them. An
+    unscaled matrix's dummy column is ranked straight from its category's
+    codes, without its dense values."""
     if not isinstance(x, DesignMatrix) or x.scaling is not None:
-        dense = x if not isinstance(x, DesignMatrix) else x.x
+        dense = x.x if isinstance(x, DesignMatrix) else x
         for f in range(dense.shape[1]):
             yield np.unique(dense[:, f], return_inverse=True)
         return
     for values, levels in x.frame:
         if not levels:
-            for column in values.T if values.ndim == 2 else (values,):
-                yield np.unique(column, return_inverse=True)
+            yield np.unique(values, return_inverse=True)
             continue
         counts = np.bincount(values, minlength=levels)
         for level in range(1, levels):

@@ -7,8 +7,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import row_blocks
-from .errors import DataError, TrainingError, check_setting, check_training_data
+from .dataset import check_training_data, row_blocks
+from .errors import DataError, TrainingError, check_setting
 
 # Probabilities are clipped away from {0, 1} before the log so a saturated
 # sigmoid cannot produce an infinite loss.

@@ -1014,7 +1014,7 @@ EXPORTS = """
     TrainingError UsageError
     EadResult ExposureColumns ExposureQuote RecoveryTable build_quote ead expected_loss lgd
     parse_term_months record_ead recovery_rates
-    Scaler apply_scaler correlation_report fit_scaler pearson threshold_counts
+    Scaler apply_scaler correlation_report fit_scaler threshold_counts
     CartParams CartTree Forest ForestConfig fit_cart fit_forest
     forest_from_json_dict forest_to_json_dict
     LogregConfig LogregModel bce_loss fit_logreg loss_and_gradient sigmoid

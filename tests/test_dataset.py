@@ -448,12 +448,13 @@ def test_split_rows_gives_the_membership_of_split(n, fraction, seed):
 
 
 def _assert_rows_encode(table, rows):
-    """encode of the rows alone is the whole table's encoding at those rows."""
-    whole, whole_report = encode(table)
-    part, report = encode(table, rows)
-    assert part.columns == whole.columns and report == whole_report
+    """The matrix of the rows alone, taken as the CLI takes a half of the
+    split, has the whole table's columns and the reference matrix's rows."""
+    whole = encode(table)[0]
+    part = whole.take(rows)
+    assert part.columns == whole.columns
     assert part.x.shape == (len(rows), whole.n_cols)
-    assert part.x.tobytes() == whole.x[rows].tobytes()
+    assert part.x.tobytes() == _dense_reference(table)[rows].tobytes()
     assert part.y.tobytes() == whole.y[rows].tobytes()
     return part
 
@@ -516,20 +517,25 @@ def _dense_reference(table, rows=None):
 
 def _assert_view_rows(table, rows, rng):
     """encode's view builds the reference matrix's rows, whole, by blocks
-    and over random ranges, scaled or not."""
-    matrix = encode(table, rows)[0]
+    and over random ranges, unscaled, scaled, and scaled twice."""
+    matrix = encode(table)[0]
+    matrix = matrix if rows is None else matrix.take(rows)
     want = _dense_reference(table, rows)
     assert matrix.shape == want.shape
     assert matrix.x.tobytes() == want.tobytes()
     assert b"".join(block.tobytes() for _, block in dataset.row_blocks(matrix)) == want.tobytes()
-    mean, scale = rng.normal(size=want.shape[1]), rng.uniform(1.0, 2.0, want.shape[1])
-    scaled = matrix.standardized(mean, scale)
+    m1, s1 = rng.normal(size=want.shape[1]), rng.uniform(1.0, 2.0, want.shape[1])
+    m2, s2 = rng.normal(size=want.shape[1]), rng.uniform(1.0, 2.0, want.shape[1])
+    scaled = matrix.standardized(m1, s1)
+    twice = scaled.standardized(m2, s2)  # rebuilt from the scaled rows
     out = np.full((want.shape[0] + 3, want.shape[1]), np.nan)
     for _ in range(5):
         start, stop = sorted(rng.integers(0, want.shape[0] + 1, size=2).tolist())
-        assert matrix.dense(start, stop).tobytes() == want[start:stop].tobytes()
-        assert matrix.dense(start, stop, out).tobytes() == want[start:stop].tobytes()
-        assert scaled.dense(start, stop, out).tobytes() == ((want[start:stop] - mean) / scale).tobytes()
+        x = want[start:stop]
+        assert matrix.dense(start, stop).tobytes() == x.tobytes()
+        assert matrix.dense(start, stop, out).tobytes() == x.tobytes()
+        assert scaled.dense(start, stop, out).tobytes() == ((x - m1) / s1).tobytes()
+        assert twice.dense(start, stop, out).tobytes() == (((x - m1) / s1 - m2) / s2).tobytes()
 
 
 @pytest.mark.parametrize("block", [None, 7])

@@ -9,7 +9,6 @@ from creditworks import (
     correlation_report,
     fit_logreg,
     fit_scaler,
-    pearson,
     threshold_counts,
 )
 from creditworks.errors import DataError
@@ -17,50 +16,59 @@ from creditworks.features import DEFAULT_THRESHOLD_RULES
 from creditworks.logreg import LogregConfig
 
 
+def _pearson(x, y):
+    """(r, defined) that correlation_report gives the one column x against
+    the labels y."""
+    ((_, r, defined),) = correlation_report(DesignMatrix(("x",), np.c_[x], y))
+    return r, defined
+
+
 def test_pearson_identity():
     y = np.array([0, 1, 0, 1, 1])
-    r, defined = pearson(y.astype(float), y)
+    r, defined = _pearson(y.astype(float), y)
     assert defined
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pearson_anti_identity():
     y = np.array([0, 1, 0, 1, 1])
-    r, _ = pearson(1.0 - y, y)
+    r, _ = _pearson(1.0 - y, y)
     assert r == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_pearson_hand_value():
-    r, defined = pearson([1, 2, 3, 4], [0, 0, 1, 1])
+    r, defined = _pearson([1, 2, 3, 4], [0, 0, 1, 1])
     assert defined
     assert r == pytest.approx(0.8944271909999159, abs=1e-15)
 
 
 def test_pearson_zero_variance_flagged():
-    r, defined = pearson([2.0, 2.0, 2.0], [0, 1, 0])
+    r, defined = _pearson([2.0, 2.0, 2.0], [0, 1, 0])
     assert (r, defined) == (0.0, False)
 
 
 def test_pearson_validates():
+    with pytest.raises(DataError, match="at least 2 rows"):
+        _pearson([1.0], [0])
     with pytest.raises(DataError):
-        pearson([1.0], [0])
-    with pytest.raises(DataError):
-        pearson([1.0, 2.0], [0, 1, 1])
+        _pearson([1.0, 2.0], [0, 1, 1])
 
 
 def test_pearson_symmetric_and_affine_invariant():
+    # Symmetric where both vectors are 0/1, as the labels must be.
     rng = np.random.default_rng(42)
     for _ in range(25):
         x = rng.normal(size=12)
         y = (rng.random(12) < 0.5).astype(float)
         if y.std() == 0:
             continue
-        r_xy = pearson(x, y).r
-        r_yx = pearson(y, x).r
-        assert abs(r_xy - r_yx) < 1e-12
+        r_xy = _pearson(x, y)[0]
         a = float(rng.uniform(0.1, 5.0))
         b = float(rng.normal())
-        assert abs(pearson(a * x + b, y).r - r_xy) < 1e-12
+        assert abs(_pearson(a * x + b, y)[0] - r_xy) < 1e-12
+        flags = (x > 0).astype(float)
+        if flags.std() > 0:
+            assert abs(_pearson(flags, y)[0] - _pearson(y, flags)[0]) < 1e-12
 
 
 def test_correlation_report_ranks_target_copy_first():

@@ -28,7 +28,7 @@ from creditworks import (
     forest_from_json_dict,
     forest_to_json_dict,
 )
-from creditworks import dataset, forest
+from creditworks import dataset, features, forest
 from creditworks.errors import DataError, TrainingError
 from creditworks.forest import CRITERIA, TREE_ARRAYS
 
@@ -422,19 +422,24 @@ def test_only_adjacent_floats_have_a_midpoint_that_rounds_onto_the_upper_one(lo,
 
 def _assert_coded_alike(matrix):
     """_coded of a design matrix, from its category codes, equals _coded of
-    its dense matrix, array for array."""
-    view, dense = forest._coded(matrix, matrix.y), forest._coded(matrix.x, matrix.y)
-    assert view.code.dtype == dense.code.dtype and np.array_equal(view.code, dense.code)
-    assert view.values.tobytes() == dense.values.tobytes()
-    assert (view.span, view.rounds) == (dense.span, dense.rounds)
+    its dense matrix, array for array; so does _coded of the matrix
+    standardized, which is ranked from its scaled rows."""
+    k = matrix.n_cols
+    scaler = features.Scaler(np.linspace(-1.0, 1.0, k), np.linspace(2.0, 3.0, k), matrix.columns)
+    for m in (matrix, features.apply_scaler(scaler, matrix)):
+        view, dense = forest._coded(m, m.y), forest._coded(m.x, m.y)
+        assert view.code.dtype == dense.code.dtype and np.array_equal(view.code, dense.code)
+        assert view.values.tobytes() == dense.values.tobytes()
+        assert (view.span, view.rounds) == (dense.span, dense.rounds)
 
 
 def test_coded_of_the_conftest_book_equals_coded_of_its_dense_matrix(tmp_path):
     path = write_loans_csv(tmp_path / "loans.csv")
     table = dataset.filter_terminal(dataset.load_csv(path, dataset.default_column_specs()))
     table = dataset.handle_missing(dataset.drop_columns(table))
+    matrix = dataset.encode(table)[0]
     for rows in (None, dataset.split_rows(table.row_count, 0.25, 11)[0]):
-        _assert_coded_alike(dataset.encode(table, rows)[0])
+        _assert_coded_alike(matrix if rows is None else matrix.take(rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -442,8 +447,9 @@ def test_coded_of_the_conftest_book_equals_coded_of_its_dense_matrix(tmp_path):
 def test_coded_of_a_view_equals_coded_of_its_dense_matrix(data):
     # Dummies that are 1.0 on every row of a subset, or on none, included.
     table, rows = data
+    matrix = dataset.encode(table)[0]
     for subset in (None, rows):
-        _assert_coded_alike(dataset.encode(table, subset)[0])
+        _assert_coded_alike(matrix if subset is None else matrix.take(subset))
 
 
 def test_the_rounding_check_changes_no_tree_where_no_midpoint_rounds():

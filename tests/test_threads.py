@@ -30,7 +30,7 @@ PURPOSES = (
 KERNELS = """
 import hashlib, sys
 import numpy as np
-from creditworks import LogregConfig, fit_logreg, pearson
+from creditworks import DesignMatrix, LogregConfig, correlation_report, fit_logreg
 
 for n in map(int, sys.argv[1:]):
     rng = np.random.default_rng(n)
@@ -42,7 +42,8 @@ for n in map(int, sys.argv[1:]):
         for values in (model.weights, [model.bias], [v for _, v in model.history],
                        model.predict_proba(x)):
             digest.update(np.asarray(values, dtype=np.float64).tobytes())
-    digest.update(np.array([pearson(x[:, j], y).r for j in range(x.shape[1])]).tobytes())
+    report = correlation_report(DesignMatrix(tuple(map(str, range(x.shape[1]))), x, y))
+    digest.update(np.array([r for _, r, _ in report]).tobytes())
     print(n, digest.hexdigest())
 """
 

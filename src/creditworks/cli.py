@@ -128,6 +128,8 @@ def _check_config(cfg: dict) -> None:
     whatever the command, before any input is read or output written."""
     _config_value(cfg, "input", None, str, "the path of the input CSV")
     seed = _config_value(cfg, "seed", None, int, "an integer (runs may not self-seed)")
+    if seed < 0:
+        raise UsageError(f"config 'seed' must be a non-negative integer, got {seed}")
     spec = cfg.get("column_spec")
     if spec is not None and not (isinstance(spec, str) and spec):
         raise UsageError(f"config 'column_spec' must be a path, got {spec!r}")

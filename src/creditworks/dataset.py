@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import seeded
 from .errors import (
     DataError,
     EmptyDatasetError,
@@ -577,20 +578,23 @@ def drop_columns(table: RawLoanTable) -> RawLoanTable:
     return RawLoanTable(schema=schema, columns=columns, status_map=table.status_map)
 
 
+def midpoint(lo, hi):
+    """(lo + hi) / 2.0 elementwise, or lo / 2.0 + hi / 2.0 where the sum
+    passes the float range: the midpoint of two finite floats is finite."""
+    with np.errstate(over="ignore"):
+        total = lo + hi
+    return np.where(np.isfinite(total), total / 2.0, lo / 2.0 + hi / 2.0)
+
+
 def _median(values: np.ndarray):
     """np.median of a NaN-free 1-D array, with the same bits wherever that
     is finite. np.median's own NaN check imports numpy.ma, which costs every
     command time and memory. Like np.median, the sum starts from +0.0, so
     the median of -0.0 is +0.0. Where the two middle values' sum overflows,
-    np.median gives inf; this gives the finite mean of their halves."""
-    half = values.size // 2
-    if values.size % 2:
-        return 0.0 + np.partition(values, half)[half]
-    part = np.partition(values, (half - 1, half))
-    lo, hi = part[half - 1], part[half]
-    with np.errstate(over="ignore"):
-        total = 0.0 + lo + hi
-    return total / 2.0 if np.isfinite(total) else lo / 2.0 + hi / 2.0
+    np.median gives inf; this gives the finite midpoint."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    part = np.partition(values, (lo, hi))
+    return midpoint(0.0 + part[lo], part[hi])
 
 
 def _filled(spec: ColumnSpec, column, gaps: np.ndarray):
@@ -891,17 +895,24 @@ class SplitPair:
 
 
 def split_rows(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(train rows, test rows) of a seeded shuffle split of n_rows rows. The
-    permutation comes from numpy's PCG64 stream, so a given (seed, n_rows)
-    pair always produces the same membership."""
+    """(train rows, test rows) of a seeded split of n_rows rows, each in
+    ascending order. The test rows are the round(test_fraction * n_rows)
+    rows (at least 1, at most n_rows - 1) with the smallest words of the
+    stream seeded.words((0, seed), n_rows), ties to the lower row: so a
+    given (seed, n_rows) pair always produces the same membership."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     if n_rows < 2:
         raise DataError("need at least 2 rows to split")
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
     n_test = int(round(test_fraction * n_rows))
     n_test = min(max(n_test, 1), n_rows - 1)
-    perm = np.random.default_rng(seed).permutation(n_rows)
-    return perm[n_test:], perm[:n_test]
+    draw = seeded.words((0, seed), n_rows)
+    cut = np.partition(draw, n_test - 1)[n_test - 1]
+    test = draw < cut
+    test[np.flatnonzero(draw == cut)[: n_test - np.count_nonzero(test)]] = True
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 def split(matrix: DesignMatrix, test_fraction: float, seed: int) -> SplitPair:

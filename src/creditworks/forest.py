@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DesignMatrix, check_training_data
+from .dataset import DesignMatrix, check_training_data, midpoint
 from .errors import DataError, TrainingError, check_setting
+from .seeded import words
 
 CRITERIA = ("gini", "entropy")
 
@@ -68,14 +69,6 @@ class _Coded(NamedTuple):
     rounds: bool
 
 
-def _midpoint(lo, hi):
-    """(lo + hi) / 2.0 elementwise, or lo / 2.0 + hi / 2.0 where the sum
-    passes the float range: the midpoint of two finite floats is finite."""
-    with np.errstate(over="ignore"):
-        total = lo + hi
-    return np.where(np.isfinite(total), total / 2.0, lo / 2.0 + hi / 2.0)
-
-
 def _ranks(x):
     """Per column of x, a 2-D array or a DesignMatrix: its distinct values
     in order and each row's rank among them, as np.unique gives them. An
@@ -108,7 +101,7 @@ def _coded(x, y) -> _Coded:
         np.add(2 * rank, y, out=code[f], casting="unsafe")
         levels.append(values)
         base += values.size
-        rounds = rounds or bool(np.any(_midpoint(values[:-1], values[1:]) == values[1:]))
+        rounds = rounds or bool(np.any(midpoint(values[:-1], values[1:]) == values[1:]))
     return _Coded(code, np.concatenate(levels) if levels else np.zeros(0), 2 * base, y, rounds)
 
 
@@ -179,7 +172,7 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
         seg_of = np.arange(m * k).repeat(count)
         lift = seg_of // k * (span // 2)
         hi = coded.values[key[cand + 1] - lift]
-        rounded = _midpoint(coded.values[key[cand] - lift], hi) == hi
+        rounded = midpoint(coded.values[key[cand] - lift], hi) == hi
         end = np.where(rounded, np.minimum(np.append(cand[1:], key.size), seg_end[seg_of] - 1), cand)
     n, n1 = np.empty(2 * c + m), np.empty(2 * c + m)
     np.subtract(end, of[0], out=n[:c])
@@ -206,7 +199,7 @@ def _search(coded: _Coded, rows, sizes, feats, criterion):
     p, q = cand[hit], end[hit]
     seg = start.searchsorted(p, side="right") - 1
     base = won * (span // 2)
-    cut = _midpoint(coded.values[key[p] - base], coded.values[key[p + 1] - base])
+    cut = midpoint(coded.values[key[p] - base], coded.values[key[p + 1] - base])
     return won, seg - won * k, cut, key[q] - base, gains[hit], q - start[seg] + 1, cum[q] - table[1].flat[seg]
 
 
@@ -403,20 +396,22 @@ def _resolve_subsample(params: CartParams, n_cols: int) -> int:
     return min(n_cols, int(fs))
 
 
-def fit_cart(x, y, params: CartParams = CartParams(), rng=None, rows=None) -> CartTree:
+def fit_cart(x, y, params: CartParams = CartParams(), seed: int | tuple = 0, rows=None) -> CartTree:
     """Grow one tree by impurity-minimizing splits, depth first.
 
     A node becomes a leaf when it is pure, smaller than min_samples_split,
     at max_depth, or when no candidate threshold exists. With feature
     subsampling active, each node that passes those checks draws its
-    feature subset from rng in preorder (node, then left subtree, then
-    right subtree), which pins the tree for a given generator state.
+    feature subset by its key (see _grow), which derives from seed, a
+    non-negative int or tuple of them: fit_forest's tree t is fit_cart
+    with seed (forest seed, t) on its bootstrap rows.
 
     Each split node sorts only its drawn features, over its own rows (see
     _search), and sends a row left when its value is <= the threshold.
     """
     x, y = check_training_data(x, y)
-    return _grow(_coded(x, y), params, [(rng, _check_rows(rows, x.shape[0]))])[0]
+    seed = seed if isinstance(seed, tuple) else (seed,)
+    return _grow(_coded(x, y), params, [(seed, _check_rows(rows, x.shape[0]))])[0]
 
 
 # Cells (a node's rows times its drawn features) one grower step may search.
@@ -430,13 +425,16 @@ _STEP_CELLS = 1 << 14
 
 
 def _grow(coded: _Coded, params: CartParams, starts, stop=None):
-    """Grow one tree per (rng, rows) pair of starts, all in lockstep.
+    """Grow one tree per (seed, rows) pair of starts, all in lockstep.
 
     Each tree keeps a depth-first stack of the nodes it has still to search:
     a leaf is recorded when it is made and never stacked. A step pops one
     node from each of the trees with the largest next nodes, and one
-    _search covers them all. So each tree still draws its feature subsets
-    in its own preorder, and the trees equal those grown one at a time.
+    _search covers them all. A node of key w draws words((w,), 2 + n_cols),
+    in one call for the whole step: its children's keys, left then right,
+    then one word per feature, whose k smallest pick its features. The
+    root's key is words((2, *seed), 1), so no tree depends on how nodes
+    are packed into steps.
     Nodes are numbered as they are made, and _tree renumbers them in
     preorder. A node's rows are a range of one array holding every tree's
     rows; a split reorders its range, left rows first. stop, if given, is
@@ -449,22 +447,20 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
     def leaf(n, n1, depth):
         return n1 == 0 or n1 == n or n < params.min_samples_split or depth >= max_depth or n_cols == 0
 
-    # Per tree: a stack of (node, first, end, depth, positives) and the
-    # count0, count1 and splits of its nodes so far. Each tree's rows are
-    # kept as int32 as soon as they are drawn, when every cell's index in
-    # the code table fits.
-    rngs, parts, stacks, grown, first = [], [], [], [], 0
-    for rng, rows in starts:
+    # Per tree: a stack of (node, first, end, depth, positives, key) and
+    # the count0, count1 and splits of its nodes so far. Each tree's rows
+    # are kept as int32 as soon as they are drawn, when every cell's index
+    # in the code table fits.
+    parts, stacks, grown, first = [], [], [], 0
+    for seed, rows in starts:
         if rows.size == 0:
             raise TrainingError("cannot fit on an empty row subset")
         n1 = int(coded.y[rows].sum())
-        stacks.append([] if leaf(rows.size, n1, 0) else [(0, first, first + rows.size, 0, n1)])
+        root = (0, first, first + rows.size, 0, n1, int(words((2, *seed), 1)[0]))
+        stacks.append([] if leaf(rows.size, n1, 0) else [root])
         grown.append(([rows.size - n1], [n1], []))
         first += rows.size
-        rngs.append(rng)
         parts.append(rows.astype(np.int32 if coded.code.size < 2**31 else np.intp))
-    if k < n_cols and any(rng is None for rng in rngs):
-        raise TrainingError("feature subsampling requires an rng")
     perm = np.concatenate(parts)
     del parts
 
@@ -483,12 +479,15 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
                 size.append(b - a)
                 cells += (b - a) * k
         if k < n_cols:
-            feats = np.array([rngs[t].choice(n_cols, size=(k,), replace=False) for t, *_ in batch])
+            draw = words((np.array([entry[-1] for entry in batch], np.uint64),), 2 + n_cols)
+            feats = draw[:, 2:].argsort(axis=1)[:, :k]
             feats.sort(axis=1)
+            keys = draw[:, :2].tolist()
         else:
             feats = np.broadcast_to(np.arange(n_cols), (len(batch), n_cols))
+            keys = [(0, 0)] * len(batch)
         for i, f, c, nl, l1 in zip(*_split(coded, perm, np.array(lo), np.array(size), feats, params.criterion)):
-            t, node, a, b, depth, n1 = batch[i]
+            t, node, a, b, depth, n1, _ = batch[i]
             count0, count1, splits = grown[t]
             left, nr, r1 = len(count0), b - a - nl, n1 - l1
             count0 += (nl - l1, nr - r1)
@@ -496,9 +495,9 @@ def _grow(coded: _Coded, params: CartParams, starts, stop=None):
             splits.append((node, f, c, left))
             depth += 1
             if not leaf(nr, r1, depth):
-                stacks[t].append((left + 1, a + nl, b, depth, r1))
+                stacks[t].append((left + 1, a + nl, b, depth, r1, keys[i][1]))
             if not leaf(nl, l1, depth):
-                stacks[t].append((left, a, a + nl, depth, l1))
+                stacks[t].append((left, a, a + nl, depth, l1, keys[i][0]))
         pending = [t for t in pending if stacks[t]]
     return [_tree(params, n_cols, *arrays) for arrays in grown]
 
@@ -592,6 +591,8 @@ class ForestConfig:
         check_setting("n_trees", self.n_trees, int)
         check_setting("seed", self.seed, int)
         check_setting("bootstrap", self.bootstrap, bool)
+        if self.seed < 0:
+            raise TrainingError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_trees < 1:
             raise TrainingError(f"n_trees must be >= 1, got {self.n_trees}")
         # A count past the index range could not even size the list of trees.
@@ -682,11 +683,12 @@ def _place(worker: int) -> None:
 
 
 def _starts(config: ForestConfig, n: int, worker: int, workers: int):
-    """(rng, rows) of each tree t = worker (mod workers): tree t's generator,
-    seeded with (seed, t), draws its bootstrap rows first."""
+    """(seed, rows) of each tree t = worker (mod workers): its seed is
+    (config.seed, t), and its bootstrap rows are words((1, config.seed, t),
+    n) % n, or all n rows in order without bootstrap."""
     for t in range(worker, config.n_trees, workers):
-        rng = np.random.default_rng((config.seed, t))
-        yield rng, rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        rows = words((1, config.seed, t), n) % np.uint64(n) if config.bootstrap else np.arange(n)
+        yield (config.seed, t), rows.view(np.int64)
 
 
 def _grow_in_child(
@@ -727,9 +729,9 @@ def fit_forest(x, y, config: ForestConfig = ForestConfig(), columns=()) -> Fores
     """Train n_trees CARTs on bootstrap resamples of x, a 2-D array or a
     DesignMatrix (see _ranks), with labels y.
 
-    Tree t's entire randomness (its bootstrap draw, then its per-node
-    feature subsets) comes from a generator seeded with (seed, t), so the
-    forest is identical no matter how the tree loop is scheduled.
+    Tree t's bootstrap rows and its nodes' feature subsets are keyed by
+    (seed, t) and the node's path (see _starts and _grow), so the forest is
+    identical no matter how the trees and nodes are scheduled.
 
     With W = min(n_trees, _workers(x, params)) workers, worker w grows the
     trees t = w (mod W) in lockstep (see _grow): worker 0 is this process and

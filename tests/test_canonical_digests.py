@@ -24,11 +24,11 @@ SHARED = {
     "correlation.csv": "34b397bab98d7c1b574f6a53c6f5becf3ff29da2cf88822849a11f9e63b1e76c",
     "prepared/columns.json": "906fe50a82b6bd424467be67a3da96380a0dcec58f885b8588ef28f7cf2ab155",
     "prepared/encode_report.json": "ac8a1251e2b7795947f22379054d50951097ef386eb2a28067a5f1c34af4a1aa",
-    "prepared/scaler.json": "820f3b6bfabe2fa781d98cbaee2aea4b3fa864228a9f1112ee6436f7726a708f",
-    "prepared/x_test.npy": "1f8a88fc77ac474bff8b191f53c6f1461509fd7b26ed6cc4aefa43249f9bb1e2",
-    "prepared/x_train.npy": "c60891f9d265e03d11262db6dd3eb8e2d668564f3dec70b97be13a753329e4e9",
-    "prepared/y_test.npy": "5838d6ee1fb6663c511f8b44e357f8a47ca00d2240c035c23f72a81b9673aca7",
-    "prepared/y_train.npy": "f157dc91bc491198011be1ca1848586cd1a3e01f5225e14a552c4dc6fc2d4a08",
+    "prepared/scaler.json": "c5652d9293bf1d8e454f5f6c61bf427f4140a9de28df2a8b7db7f476bd1dca46",
+    "prepared/x_test.npy": "2b1e9b53e1b54295e170d6533b67f3360e429962b22b0369591f4d97a905e428",
+    "prepared/x_train.npy": "c04c1e49436472ad893af83e7629b57303a18a45f051661fb2648336aa103118",
+    "prepared/y_test.npy": "e23f0e9b3e4536aac33255efc78094f72e5389cf519de3e9445917b8d1e4727e",
+    "prepared/y_train.npy": "8994bde77158fe9c323991effc1899bb85c70a9aa7be459dab36447f78260036",
     "recovery.json": "f1bb8ec53a68a1bb4d2243be12abbb146ec9f1f0e4c4874eff819cd0874853e8",
     "summary.json": "4f3d366501da7c7cfb5715d27ae20f85a7bf3f6e6996a9f963ed6fa9ae0e4239",
 }
@@ -38,26 +38,26 @@ CASES = {
         None,
         {
             "comparison.json": "4bbe4641ab230acabb8572ecec598791b481c5e245ac2a59d5dcf8ae0cbe6cf5",
-            "model.json": "b443de6f91b12f85dc1568456abad6b376acd3c9b50e4a41f17f869f786037ea",
-            "pricing.csv": "8d14566c3a23b74cf035555adf32187b19f14e7faa0e8514a8df6537d932bbdf",
-            "report.json": "eecf61ea5d60b06a33523c059332aa50135cceca1320f20ca30ce36b251c1509",
+            "model.json": "eae277bc6781e04eeff7719c79d8713495f9b3a2e9f90c8cf9315508e110e98c",
+            "pricing.csv": "1ccdaf98aee5e615114b99e7e3b34a4b34564cd9cb2fa4ccf52d8dc37ebbb74e",
+            "report.json": "a1a42895cd0a345d5f93d3aace81c3bad28f92febbbbb5ffd47a2de7ea515210",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
-            "roc.csv": "a9c1b2853102be22e9b17a743683c928cbe73f218934ead441e487a6eb3c2d8e",
-            "scores.csv": "e41b0e6afe6feb071d7c97d264568ea1debe00f70dd4594203f8171c655205e3",
-            "training_log.json": "b5030df6bf80a316b72d739669ccd2a1b01130e24002e835bee302471d5364b1",
+            "roc.csv": "27f3b9d99c1003a800dec01ae0977f554abcd5c0c53fd1ae5d699c23d78d4553",
+            "scores.csv": "e12eddaa7589af3eb6fb85946548796a7892d6f9fecbf35ecba5ca0204e9f239",
+            "training_log.json": "3acbb78ae18e785b791c55d274775086ddceafbede5b8e92bace52ddde509d08",
         },
     ),
     "forest": (
         {"kind": "forest", "n_trees": 5, "max_depth": 4},
         {
             "comparison.json": "4c66f08c291f0cc9b6ec10109e0f967353865b575fa80b7acf7d483ef5a071e8",
-            "model.json": "e37512b20e0d5f8ca6439e7f0e09d501f5d9514fce48066612a9a563ce9d41e2",
-            "pricing.csv": "b97202683d729f1165f0c94351702f42c47f1a457c0521bf19dccb2273325e9d",
-            "report.json": "9d10600641f6b2d80666d72a494b09a9d3980109e21665be1932380e7ec3fcbc",
+            "model.json": "3b624f21317af7cb94ced1e7b828898c0fd78f61125b7f5d90ae3da1739317ff",
+            "pricing.csv": "7195d3c847feeedc16864d8f8e7e2c5c2ac6f0d8ab6a9c3e95d02f9e1b75af63",
+            "report.json": "03391ea42d47c6c8e10600c02e6136ad29ae0bd659e9c48637389062d9e56bd7",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
-            "roc.csv": "b0d40914f52389a23994c3f70704be9e430799a97ed824c626647480bcee99e3",
-            "scores.csv": "a80e339b572fa70db64778f2b117432079d100bb142e5b02d67675b79ca06489",
-            "training_log.json": "12cc85ed1b3670d670b69297d2407ad5d23eee85d7f19f0d7d42906e9dbb63c6",
+            "roc.csv": "f353c14d9b074a35e9f0e264aff8dd233238381484b9c8d0cd8e2886d32ba672",
+            "scores.csv": "4a32768830ea66f010749ad0252b7ad43991c02b6c481744ac89baae06c6d237",
+            "training_log.json": "620c9b8a5f5dfff46edae95301948ed5880fb7c8340f515d23e30c5b441ac5a8",
         },
     ),
     # The benchmark's forest shape: trees deep enough that the grower's
@@ -66,13 +66,13 @@ CASES = {
         {"kind": "forest", "n_trees": 30, "max_depth": 10},
         {
             "comparison.json": "4c66f08c291f0cc9b6ec10109e0f967353865b575fa80b7acf7d483ef5a071e8",
-            "model.json": "ccd57013bf0aa37552eabbf8c7239456e1e86ad00d3fcd073e63ac44b9f12638",
-            "pricing.csv": "13e9b7c6ae2e208599659815318744e04856ea634310418de404dbc9790a36f0",
-            "report.json": "9d10600641f6b2d80666d72a494b09a9d3980109e21665be1932380e7ec3fcbc",
+            "model.json": "f8931da514a2164326b444f86e2eaa8cb1aa4796b8697ea72008176e82a157f2",
+            "pricing.csv": "7d1a4a78ec3890d7c477e431224138c32d368c454c68aaa9eb82bf7d9705a568",
+            "report.json": "03391ea42d47c6c8e10600c02e6136ad29ae0bd659e9c48637389062d9e56bd7",
             "report.txt": "20cf16a94a7e407565df612ccb4f6b33dbbdcb7c4583ac7e9b9f251d19241884",
-            "roc.csv": "f2af7ea6bf1d00f350b4e52004e9ad376b12eb700318c2a2b006438f4b3ba329",
-            "scores.csv": "88b45bb023d6e6fcacc3eeb2c259ad363bf532f4c6983d6304b3abf7890e713f",
-            "training_log.json": "b438c8d8e1ab662f69c5f0e30eed7dcaefd83ec3b4e7b9bfeb10f4e6504144e7",
+            "roc.csv": "97abf2e67d13fa8e5156b249a4745853e0f391ff90cfdc5672b8ab14c783ae14",
+            "scores.csv": "10893b1915b19d54b567521150bfec466d31e6e51fbf8f6e972d34e366e355f1",
+            "training_log.json": "ef5b7524192ee373237642371b0717b4012cec82d547e44dad45d897b58ae399",
         },
     ),
 }

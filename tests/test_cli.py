@@ -193,6 +193,28 @@ def test_config_without_seed_is_usage_error(tmp_path):
     assert run(tmp_path, "train") == 64
 
 
+@pytest.mark.parametrize("command", ["train", "prepare", "evaluate"])
+@pytest.mark.parametrize("model", [None, {"kind": "forest", "n_trees": 3}], ids=["logreg", "forest"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, model):
+    write_loans_csv(tmp_path / "loans.csv")
+    write_config(tmp_path / "config.json", seed=-1, **({} if model is None else {"model": model}))
+    assert run(tmp_path, command) == 64
+    err = capsys.readouterr().err
+    assert err == "creditworks: config 'seed' must be a non-negative integer, got -1\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model", [None, {"kind": "forest", "n_trees": 3}], ids=["logreg", "forest"])
+def test_seed_wider_than_64_bits_is_folded(tmp_path, model):
+    write_loans_csv(tmp_path / "loans.csv")
+    write_config(tmp_path / "config.json", seed=2**70, **({} if model is None else {"model": model}))
+    for command in ("train", "evaluate"):
+        assert run(tmp_path, command) == 0
+    assert read_json(tmp_path / "out" / "model.json")["kind"] == ("logreg" if model is None else "forest")
+    train = dataset.split_rows(120, 0.25, 2**70)[0]
+    assert not np.array_equal(train, dataset.split_rows(120, 0.25, 2**70 % 2**64)[0])
+
+
 def test_missing_input_csv_is_data_error(tmp_path):
     write_config(tmp_path / "config.json", input="absent.csv")
     assert run(tmp_path, "train") == 2
@@ -1039,6 +1061,27 @@ def test_logistic_train_imports_only_the_modules_it_runs(workdir):
     loaded = set(done.stdout.splitlines()[-1].split())
     assert "creditworks.logreg" in loaded
     assert not loaded & {"creditworks.forest", "creditworks.metrics", "creditworks.cds"}
+
+
+@pytest.mark.parametrize("model", [None, {"kind": "forest", "n_trees": 5, "max_depth": 4}], ids=["logreg", "forest"])
+def test_no_command_loads_numpy_random_or_openssl(workdir, model):
+    # numpy.random imports secrets, hmac and _hashlib, which is OpenSSL: a
+    # few MB of every splitting command's peak.
+    if model is not None:
+        write_config(workdir / "config.json", model=model)
+    script = (
+        "import sys; from creditworks import cli\n"
+        "for command in sys.argv[2:]:\n"
+        "    assert cli.main([command, '--config', sys.argv[1]]) == 0, command\n"
+        "print(*sorted(m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(workdir / "config.json"), *COMMANDS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "", done.stdout
 
 
 def test_every_exported_name_still_imports():

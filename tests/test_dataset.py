@@ -42,6 +42,7 @@ from creditworks.errors import (
     SchemaError,
     UnresolvableColumnError,
 )
+from creditworks.seeded import words
 
 THREE_COL = [
     ColumnSpec("loan_amnt", "numeric"),
@@ -575,6 +576,54 @@ def test_split_validates_inputs():
         split(_matrix(10), 1.0, seed=1)
     with pytest.raises(DataError):
         split(_matrix(1), 0.5, seed=1)
+    with pytest.raises(DataError, match="seed must be a non-negative integer, got -1"):
+        split(_matrix(10), 0.5, seed=-1)
+
+
+def test_splitmix64_known_answers():
+    # SplitMix64's first three outputs from state 0 (the empty key).
+    assert words((), 3).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_words_of_array_keys_equal_those_of_int_keys():
+    keys = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+    block = words((3, keys), 4)
+    assert block.shape == (3, 4) and block.dtype == np.uint64
+    for key, row in zip(keys.tolist(), block):
+        assert np.array_equal(row, words((3, key), 4))
+    # A wide int is folded as its 64-bit limbs, lowest first.
+    assert np.array_equal(words((2**70 + 9,), 3), words((9, 64), 3))
+    with pytest.raises(ValueError, match="negative"):
+        words((-1,), 3)
+
+
+@pytest.mark.parametrize("n, fraction", [(2, 0.5), (3, 0.01), (3, 0.99), (10, 0.25), (57, 0.3), (1000, 0.25)])
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**70])
+def test_split_rows_gives_disjoint_ascending_halves_of_every_row(n, fraction, seed):
+    train, test = dataset.split_rows(n, fraction, seed)
+    assert test.size == min(max(int(round(fraction * n)), 1), n - 1)
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
+    # The test rows hold the smallest words of the stream.
+    draw = words((0, seed), n)
+    assert draw[test].max() <= draw[train].min()
+
+
+def test_split_rows_breaks_ties_of_words_toward_the_lower_row(monkeypatch):
+    draw = np.array([5, 3, 3, 9, 1, 3], dtype=np.uint64)
+    monkeypatch.setattr(dataset.seeded, "words", lambda key, n: draw.copy())
+    train, test = dataset.split_rows(6, 0.5, 0)
+    assert (train.tolist(), test.tolist()) == ([0, 3, 5], [1, 2, 4])
+
+
+def test_split_rows_puts_each_row_in_the_test_half_equally_often():
+    n, seeds = 20, 4000
+    counts = np.zeros(n)
+    for seed in range(seeds):
+        counts[dataset.split_rows(n, 0.25, seed)[1]] += 1
+    # Chi-square, 19 degrees of freedom: p = 1e-6 at 62.
+    expected = seeds * 5 / n
+    assert ((counts - expected) ** 2 / expected).sum() < 62, counts
 
 
 def test_class_balance_simple():

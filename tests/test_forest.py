@@ -31,6 +31,7 @@ from creditworks import (
 from creditworks import dataset, features, forest
 from creditworks.errors import DataError, TrainingError
 from creditworks.forest import CRITERIA, TREE_ARRAYS
+from creditworks.seeded import words
 
 
 def _impurity(criterion):
@@ -129,9 +130,17 @@ def _oracle_best_split(x, y, criterion):
     return None if best is None else best[:2]
 
 
-def _reference_cart(x, y, params, rng=None, rows=None):
+def _bootstrap(seed, t, n):
+    """Tree t's bootstrap rows of n, as fit_forest draws them."""
+    return (words((1, seed, t), n) % np.uint64(n)).astype(np.intp)
+
+
+def _reference_cart(x, y, params, seed=0, rows=None):
     """The recursive CART build fit_cart replaced, on top of the brute-force
-    _oracle_best_split of each node's rows and drawn features.
+    _oracle_best_split of each node's rows and drawn features. A node of key
+    w draws words((w,), 2 + n_cols): its children's keys, then one word per
+    feature, whose k smallest pick its features; the root's key comes from
+    seed.
 
     Returns the tree as preorder lists in CartTree's layout, so fit_cart's
     iterative build can be compared with it array by array.
@@ -141,7 +150,7 @@ def _reference_cart(x, y, params, rng=None, rows=None):
     k = n_cols if fs is None else min(n_cols, math.ceil(math.sqrt(n_cols)) if fs == "auto" else fs)
     arrays = {name: [] for name in TREE_ARRAYS}
 
-    def build(subset, depth):
+    def build(subset, depth, key):
         node = len(arrays["feature"])
         n1 = int(y[subset].sum())
         n0 = int(subset.size) - n1
@@ -154,7 +163,8 @@ def _reference_cart(x, y, params, rng=None, rows=None):
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
             return node
-        feats = np.sort(rng.choice(n_cols, size=k, replace=False)) if k < n_cols else np.arange(n_cols)
+        draw = words((key,), 2 + n_cols)
+        feats = np.sort(draw[2:].argsort()[:k]) if k < n_cols else np.arange(n_cols)
         found = _oracle_best_split(x[np.ix_(subset, feats)], y[subset], params.criterion)
         if found is None:
             return node
@@ -164,11 +174,12 @@ def _reference_cart(x, y, params, rng=None, rows=None):
             return node  # the midpoint rounded onto the upper value: no cut
         arrays["feature"][node] = feature
         arrays["threshold"][node] = threshold
-        arrays["left"][node] = build(subset[mask], depth + 1)
-        arrays["right"][node] = build(subset[~mask], depth + 1)
+        arrays["left"][node] = build(subset[mask], depth + 1, int(draw[0]))
+        arrays["right"][node] = build(subset[~mask], depth + 1, int(draw[1]))
         return node
 
-    build(np.arange(x.shape[0]) if rows is None else rows, 0)
+    root = int(words((2, *(seed if isinstance(seed, tuple) else (seed,))), 1)[0])
+    build(np.arange(x.shape[0]) if rows is None else rows, 0, root)
     return arrays
 
 
@@ -351,7 +362,7 @@ def test_fit_cart_cuts_between_values_whose_sum_passes_the_float_range(values):
 )
 def test_midpoint_has_the_bits_of_the_halved_sum_wherever_that_is_finite(lo, hi):
     lo, hi = min(lo, hi), max(lo, hi)
-    mid = forest._midpoint(np.array([lo]), np.array([hi]))[0]
+    mid = dataset.midpoint(np.array([lo]), np.array([hi]))[0]
     if math.isfinite(lo + hi):
         assert struct.pack("<d", mid) == struct.pack("<d", (lo + hi) / 2.0)
     else:
@@ -370,7 +381,7 @@ def test_lockstep_equals_one_node_a_step_where_midpoints_round(seed):
     params = CartParams(feature_subsample=2)
 
     def grow(cap):
-        starts = ((np.random.default_rng((seed, t)), np.arange(80)) for t in range(4))
+        starts = (((seed, t), np.arange(80)) for t in range(4))
         with mock.patch.object(forest, "_STEP_CELLS", cap):
             return forest._grow(forest._coded(x, y), params, starts)
 
@@ -396,8 +407,8 @@ def test_fit_cart_equals_reference_cart_where_midpoints_round(seed, n, d, criter
     x = grid[rng.integers(0, grid.size, size=(n, d))]
     y = rng.integers(0, 2, size=n)
     params = CartParams(criterion=criterion, feature_subsample=feature_subsample)
-    tree = fit_cart(x, y, params, np.random.default_rng(seed + 1))
-    want = _reference_cart(x, y, params, np.random.default_rng(seed + 1))
+    tree = fit_cart(x, y, params, seed + 1)
+    want = _reference_cart(x, y, params, seed + 1)
     for name in TREE_ARRAYS:
         assert getattr(tree, name).tolist() == want[name], name
 
@@ -459,7 +470,7 @@ def test_the_rounding_check_changes_no_tree_where_no_midpoint_rounds():
     params = CartParams(feature_subsample=2, max_depth=8)
 
     def grow(codes):
-        return forest._grow(codes, params, ((np.random.default_rng((6, t)), np.arange(200)) for t in range(3)))
+        return forest._grow(codes, params, (((6, t), np.arange(200)) for t in range(3)))
 
     for a, b in zip(grow(coded), grow(coded._replace(rounds=True))):
         for name in TREE_ARRAYS:
@@ -476,8 +487,8 @@ def test_fit_cart_matches_recursive_reference(criterion):
             CartParams(criterion=criterion, feature_subsample="auto"),
         ):
             rows = np.random.default_rng(seed).integers(0, x.shape[0], size=x.shape[0])
-            tree = fit_cart(x, y, params, np.random.default_rng(seed + 100), rows=rows)
-            want = _reference_cart(x, y, params, np.random.default_rng(seed + 100), rows)
+            tree = fit_cart(x, y, params, seed + 100, rows=rows)
+            want = _reference_cart(x, y, params, seed + 100, rows)
             for name in TREE_ARRAYS:
                 assert getattr(tree, name).tolist() == want[name], name
             assert np.array_equal(tree.predict_proba(x), _reference_predict(want, x))
@@ -492,9 +503,8 @@ def test_fit_forest_matches_recursive_reference(criterion):
     forest = fit_forest(x, y, config)
     probs = np.zeros(x.shape[0])
     for t, tree in enumerate(forest.trees):
-        rng = np.random.default_rng((config.seed, t))
-        rows = rng.integers(0, x.shape[0], size=x.shape[0])
-        want = _reference_cart(x, y, config.params, rng, rows)
+        rows = _bootstrap(config.seed, t, x.shape[0])
+        want = _reference_cart(x, y, config.params, (config.seed, t), rows)
         for name in TREE_ARRAYS:
             assert getattr(tree, name).tolist() == want[name], name
         probs = probs + _reference_predict(want, x)
@@ -524,8 +534,7 @@ def test_lockstep_grower_equals_reference_cart(
     params = CartParams(criterion, max_depth, min_samples_split, feature_subsample)
 
     def start(t):
-        rng = np.random.default_rng((seed, t))
-        return rng, rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        return (seed, t), _bootstrap(seed, t, n) if bootstrap else np.arange(n)
 
     with mock.patch.object(forest, "_STEP_CELLS", cap):
         trees = forest._grow(forest._coded(x, y), params, map(start, range(n_trees)))
@@ -571,11 +580,11 @@ def test_fit_cart_depth_cap_respected():
     assert tree.stats()["depth"] <= 3
 
 
-def test_fit_cart_subsample_requires_rng():
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    y = np.array([0, 1])
-    with pytest.raises(TrainingError):
-        fit_cart(x, y, CartParams(feature_subsample=1))
+def test_fit_cart_subsample_draws_from_seed_0_by_default():
+    x, y = _tie_heavy_data(3, n=120)
+    params = CartParams(feature_subsample=1)
+    trees = [fit_cart(x, y, params), fit_cart(x, y, params, 0), fit_cart(x, y, params, (0,)), fit_cart(x, y, params, 1)]
+    assert [np.array_equal(trees[0].feature, t.feature) for t in trees[1:]] == [True, True, False]
 
 
 def test_single_tree_forest_matches_cart():
@@ -725,6 +734,8 @@ def test_cart_params_validation():
 def test_forest_config_validation():
     with pytest.raises(TrainingError):
         ForestConfig(n_trees=0)
+    with pytest.raises(TrainingError, match="seed must be a non-negative integer, got -1"):
+        ForestConfig(seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -762,12 +773,47 @@ def test_fit_forest_equals_serial_loop_for_any_worker_count(monkeypatch, workers
         got = fit_forest(x, y, config)
         assert got.n_trees == n_trees
         for t, tree in enumerate(got.trees):
-            rng = np.random.default_rng((config.seed, t))
-            rows = rng.integers(0, len(y), size=len(y)) if bootstrap else None
-            want = fit_cart(x, y, params, rng, rows=rows)
+            rows = _bootstrap(config.seed, t, len(y)) if bootstrap else None
+            want = fit_cart(x, y, params, (config.seed, t), rows=rows)
             for name in TREE_ARRAYS:
                 a, b = getattr(tree, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (n_trees, t, name)
+
+
+def test_bootstrap_rows_lie_in_range_and_differ_by_tree():
+    config = ForestConfig(n_trees=4, seed=2**70)
+    starts = list(forest._starts(config, 50, 0, 1))
+    assert [seed for seed, _ in starts] == [(2**70, t) for t in range(4)]
+    for t, (_, rows) in enumerate(starts):
+        assert rows.shape == (50,) and rows.min() >= 0 and rows.max() < 50
+        assert np.array_equal(rows, _bootstrap(2**70, t, 50))
+    assert len({rows.tobytes() for _, rows in starts}) == 4
+
+
+def _drawn_subsets(monkeypatch, x, y, params, seeds):
+    """The feature rows of every step of fit_cart with each of seeds."""
+    drawn, real_split = [], forest._split
+
+    def recording_split(coded, perm, lo, size, feats, criterion):
+        drawn.append(np.array(feats))
+        return real_split(coded, perm, lo, size, feats, criterion)
+
+    monkeypatch.setattr(forest, "_split", recording_split)
+    for seed in seeds:
+        fit_cart(x, y, params, seed)
+    return np.concatenate(drawn)
+
+
+def test_each_feature_subset_holds_k_distinct_sorted_columns_drawn_uniformly(monkeypatch):
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(300, 9)), rng.integers(0, 2, size=300)
+    subsets = _drawn_subsets(monkeypatch, x, y, CartParams(feature_subsample="auto", max_depth=6), range(20))
+    assert subsets.shape[1] == 3 and subsets.shape[0] > 500
+    assert np.all(subsets[:, :-1] < subsets[:, 1:]) and subsets.min() >= 0 and subsets.max() < 9
+    # Chi-square of the column counts, 8 degrees of freedom: p = 1e-6 at 45.
+    counts = np.bincount(subsets.ravel(), minlength=9)
+    expected = subsets.size / 9
+    assert ((counts - expected) ** 2 / expected).sum() < 45, counts
 
 
 @pytest.mark.parametrize(
@@ -781,7 +827,7 @@ def test_fit_forest_equals_serial_loop_for_any_worker_count(monkeypatch, workers
 def test_failed_worker_raises_and_leaves_no_child(monkeypatch, bad_tree, error, fragment):
     x, y = _tie_heavy_data(6, n=120)
     config = ForestConfig(n_trees=6, seed=8)
-    bad_rows = np.random.default_rng((config.seed, bad_tree)).integers(0, len(y), size=len(y))
+    bad_rows = _bootstrap(config.seed, bad_tree, len(y))
     real_grow = forest._grow
 
     def failing_grow(coded, params, starts, **kwargs):
@@ -811,7 +857,7 @@ def test_trees_do_not_depend_on_the_sort_key_width(wide):
     params = CartParams(feature_subsample=2, max_depth=6)
 
     def grow(codes):
-        return forest._grow(codes, params, ((np.random.default_rng((5, t)), np.arange(150)) for t in range(3)))
+        return forest._grow(codes, params, (((5, t), np.arange(150)) for t in range(3)))
 
     for a, b in zip(grow(coded), grow(widened)):
         for name in TREE_ARRAYS:
